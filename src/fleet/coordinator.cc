@@ -5,7 +5,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <thread>
 
@@ -23,9 +22,12 @@ namespace killi::fleet
 namespace
 {
 
+/** Bump a kfleet_* counter (when registered) and its statsJson()
+ *  mirror. */
 void
-bump(metrics::Counter *c)
+bump(metrics::Counter *c, std::atomic<std::uint64_t> &mirror)
 {
+    mirror.fetch_add(1);
     if (c)
         c->inc();
 }
@@ -51,8 +53,8 @@ stringArray(const std::vector<std::string> &names)
  * The shard's submit frame. The options here must canonicalize on
  * the worker to exactly the shard's cache key — scenario-first,
  * same as the coordinator's own parseSubmit() resolved them — so
- * worker caches and the peer-fetch path address the same hashes a
- * direct client submit of the subset would.
+ * worker caches address the same hashes a direct client submit of
+ * the subset would.
  */
 Json
 submitFrameFor(const SweepOptions &sopt, int priority)
@@ -84,28 +86,21 @@ isTimeout(const std::string &err)
     return err.rfind("timeout", 0) == 0;
 }
 
+/** No worker to avoid (Shard::avoid). */
+constexpr std::size_t kNoWorker = ~std::size_t{0};
+
 } // namespace
 
-/** One queued dispatch: a shard index, possibly as a hedge. */
-struct QEntry
-{
-    std::size_t shardIdx = 0;
-    bool hedge = false;
-};
-
+// Shard and Campaign fields are under Coordinator::mtx unless atomic.
 struct Coordinator::Shard
 {
-    std::size_t idx = 0;
     std::string workload;
     SweepOptions sopt;
-    std::string canonical;
     std::string hash;
-    /** A hedge has been issued for this shard (at most one). */
-    std::atomic<bool> hedged{false};
-    /** Terminal: a result has been accepted for this shard. */
-    std::atomic<bool> settled{false};
-    // Under Campaign::mtx from here on.
     unsigned attempts = 0;
+    /** The worker whose dispatch just failed; it does not retake the
+     *  shard while another worker exists. */
+    std::size_t avoid = kNoWorker;
     Json result;
     std::string worker;
     std::string origin;
@@ -113,22 +108,18 @@ struct Coordinator::Shard
 
 struct Coordinator::Campaign
 {
-    std::uint64_t jobId = 0;
-    std::mutex mtx;
+    const CancelToken *cancel = nullptr;
+    const serve::FleetProgressFn *progress = nullptr;
     std::vector<std::unique_ptr<Shard>> shards;
-    /** Per-worker dispatch queues (under mtx). */
-    std::vector<std::deque<QEntry>> queues;
-    /** Dispatches currently running per worker (under mtx). */
-    std::vector<unsigned> inflight;
     std::size_t completedCount = 0;
+    /** Dispatches of this campaign currently running. */
+    std::size_t dispatching = 0;
     bool failed = false;
     std::string error;
     /** Campaign settled: success, failure, or cancellation. */
     std::atomic<bool> done{false};
-    // Rolled into statusJson() while the campaign is in flight.
+    /** Rolled into statusJson() while the campaign is in flight. */
     std::atomic<std::uint64_t> dispatched{0};
-    std::atomic<std::uint64_t> hedges{0};
-    std::atomic<std::uint64_t> steals{0};
 };
 
 Coordinator::Coordinator(FleetOptions options) : opt(std::move(options))
@@ -142,7 +133,6 @@ Coordinator::Coordinator(FleetOptions options) : opt(std::move(options))
     }
     for (std::size_t w = 0; w < endpoints.size(); ++w)
         workerNames.push_back("w" + std::to_string(w));
-    activeOn.assign(endpoints.size(), 0);
     registerFleetMetrics();
 }
 
@@ -167,31 +157,15 @@ Coordinator::registerFleetMetrics()
         "Dispatches whose result won their shard");
     mCancelled = &reg.counter(
         "kfleet_shards_cancelled_total",
-        "Dispatches abandoned: hedge losses, worker failures, "
-        "transport deaths, campaign cancellation");
-    mSteals = &reg.counter(
-        "kfleet_steals_total",
-        "Shards stolen from another worker's queue");
-    mHedges = &reg.counter(
-        "kfleet_hedges_total",
-        "Hedged re-dispatches issued for slow shards");
-    mHedgeWins = &reg.counter(
-        "kfleet_hedge_wins_total",
-        "Hedged dispatches that won their shard");
-    mPeerFetches = &reg.counter(
-        "kfleet_peer_fetches_total",
-        "Shards served by fetching bytes from the worker that "
-        "computed them in an earlier campaign");
-    mPeerFetchMisses = &reg.counter(
-        "kfleet_peer_fetch_misses_total",
-        "Peer fetches that found the entry evicted");
+        "Dispatches abandoned: worker failures, transport deaths, "
+        "campaign cancellation");
     mRejections = &reg.counter(
         "kfleet_worker_rejections_total",
         "Worker-side rejections (queue_full, overloaded, connect "
         "failures) that sent a shard elsewhere");
     mShardSeconds = &reg.histogram(
         "kfleet_shard_seconds",
-        "Dispatch-to-settle latency of winning shard dispatches");
+        "Dispatch-to-settle latency of completed shard dispatches");
 }
 
 bool
@@ -286,6 +260,9 @@ Coordinator::start(std::string *err)
             .set(double(endpoints.size()));
     inform("kfleet: %zu worker(s) healthy (%u spawned)",
            endpoints.size(), opt.spawnWorkers);
+    for (std::size_t w = 0; w < endpoints.size(); ++w)
+        for (unsigned s = 0; s < std::max(1u, opt.slotsPerWorker); ++s)
+            dispatchers.emplace_back([this, w] { dispatchLoop(w); });
     return true;
 }
 
@@ -294,6 +271,14 @@ Coordinator::shutdownWorkers()
 {
     if (workersDown.exchange(true))
         return;
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        stopping = true;
+    }
+    queueCv.notify_all();
+    settledCv.notify_all();
+    for (std::thread &t : dispatchers)
+        t.join();
     if (spawnedPids.empty())
         return;
     const std::size_t firstSpawned =
@@ -342,198 +327,102 @@ Coordinator::shutdownWorkers()
     spawnedPids.clear();
 }
 
-bool
-Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
-                          std::size_t w,
-                          const serve::FleetProgressFn &progress)
-{
-    std::size_t peer;
-    {
-        std::lock_guard<std::mutex> lock(peerMtx);
-        const auto it = completedBy.find(shard.hash);
-        if (it == completedBy.end())
-            return false;
-        peer = it->second;
-    }
-    // Same worker: a normal dispatch is already a local cache hit
-    // there, which keeps the worker's own hit accounting honest.
-    if (peer == w)
-        return false;
-    serve::Client client;
-    std::string err;
-    if (!connectWorker(peer, client, &err))
-        return false;
-    Json fetch = Json::object();
-    fetch.set("type", Json::string("fetch"));
-    fetch.set("key", Json::string(shard.hash));
-    Json reply;
-    if (!client.send(fetch, &err) ||
-        !client.recvWithin(reply, 10000, &err))
-        return false;
-    if (reply.at("type").asString() != "fetch_reply" ||
-        !reply.at("found").asBool()) {
-        // Evicted on the peer since we recorded it; forget the
-        // stale address and recompute.
-        bump(mPeerFetchMisses);
-        tally.peerFetchMisses.fetch_add(1);
-        std::lock_guard<std::mutex> lock(peerMtx);
-        completedBy.erase(shard.hash);
-        return false;
-    }
-    if (!settleShard(camp, shard, peer, "peer-fetch",
-                     shard.hedged.load(), reply.at("result"),
-                     progress))
-        return false; // raced a concurrent dispatch; its accounting stands
-    bump(mPeerFetches);
-    tally.peerFetches.fetch_add(1);
-    return true;
-}
-
-bool
-Coordinator::settleShard(Campaign &camp, Shard &shard,
-                         std::size_t w, const char *origin,
-                         bool hedged, Json result,
-                         const serve::FleetProgressFn &progress)
+void
+Coordinator::settleShard(Campaign &camp, Shard &shard, std::size_t w,
+                         const char *origin, Json result)
 {
     std::size_t doneCount = 0;
     std::size_t total = 0;
     {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (shard.settled.load())
-            return false;
+        std::lock_guard<std::mutex> lock(mtx);
         shard.result = std::move(result);
         shard.worker = workerNames[w];
         shard.origin = origin;
-        shard.settled.store(true);
-        (void)hedged;
         doneCount = ++camp.completedCount;
         total = camp.shards.size();
-        if (doneCount == total)
+        if (doneCount == total) {
             camp.done.store(true);
+            settledCv.notify_all();
+        }
     }
-    {
-        std::lock_guard<std::mutex> lock(peerMtx);
-        completedBy[shard.hash] = w;
-    }
-    if (progress) {
+    if (*camp.progress) {
         SweepProgress p;
         p.point = shard.workload;
         p.pointDone = true;
         p.pointsDone = doneCount;
         p.pointsTotal = total;
-        progress(p);
+        (*camp.progress)(p);
     }
-    return true;
 }
 
 void
-Coordinator::runDispatch(Campaign &camp, Shard &shard,
-                         std::size_t w, bool isHedge,
-                         const CancelToken &cancel,
-                         const serve::FleetProgressFn &progress)
+Coordinator::retryOrFail(Campaign &camp, Shard &shard, std::size_t w,
+                         const std::string &why)
 {
-    // Reschedule-or-fail for a dispatch that died before settling
-    // the shard. The shard moves to another worker's queue until
-    // its attempt budget runs out, which fails the whole campaign.
-    const auto reschedule = [&](const std::string &why) {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (shard.settled.load() || camp.failed)
-            return;
-        if (shard.attempts >= opt.maxShardAttempts) {
-            camp.failed = true;
-            camp.error = "shard '" + shard.workload + "' failed " +
-                         std::to_string(shard.attempts) +
-                         " dispatch(es); last: " + why;
-            camp.done.store(true);
-            return;
-        }
-        std::size_t target = (w + 1) % endpoints.size();
-        for (std::size_t j = 0; j < endpoints.size(); ++j)
-            if (j != w &&
-                camp.queues[j].size() < camp.queues[target].size())
-                target = j;
-        camp.queues[target].push_back(QEntry{shard.idx, isHedge});
-    };
-
-    if (!isHedge && tryPeerFetch(camp, shard, w, progress))
+    std::lock_guard<std::mutex> lock(mtx);
+    if (camp.done.load())
         return;
-
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (shard.settled.load() || camp.failed)
-            return;
-        ++shard.attempts;
+    if (shard.attempts >= opt.maxShardAttempts) {
+        camp.failed = true;
+        camp.error = "shard '" + shard.workload + "' failed " +
+                     std::to_string(shard.attempts) +
+                     " dispatch(es); last: " + why;
+        camp.done.store(true);
+        settledCv.notify_all();
+        return;
     }
+    shard.avoid = endpoints.size() > 1 ? w : kNoWorker;
+    queue.push_back(Queued{&camp, &shard});
+    queueCv.notify_all();
+}
+
+void
+Coordinator::runDispatch(Campaign &camp, Shard &shard, std::size_t w)
+{
+    const auto reject = [&](const std::string &why) {
+        bump(mRejections, tally.rejections);
+        retryOrFail(camp, shard, w, why);
+    };
 
     serve::Client client;
     std::string err;
     if (!connectWorker(w, client, &err)) {
-        bump(mRejections);
-        tally.rejections.fetch_add(1);
-        reschedule("connect " + workerNames[w] + ": " + err);
+        reject("connect " + workerNames[w] + ": " + err);
         return;
     }
     if (!client.send(submitFrameFor(shard.sopt, 0), &err)) {
-        bump(mRejections);
-        tally.rejections.fetch_add(1);
-        reschedule("send " + workerNames[w] + ": " + err);
+        reject("send " + workerNames[w] + ": " + err);
         return;
     }
 
     const auto t0 = std::chrono::steady_clock::now();
     bool submitted = false;
     bool cachedFlag = false;
-    const auto abandon = [&] {
-        // This dispatch reached the submitted frame, so it must
-        // land in a terminal bucket: cancelled. Closing the
-        // connection lets the worker's orphan-cancel sweep reap
-        // the job itself.
-        bump(mCancelled);
-        tally.cancelled.fetch_add(1);
-    };
+    // A dispatch that reached the submitted frame must land in a
+    // terminal bucket: cancelled, unless its result settles the
+    // shard. Closing the connection lets the worker's orphan-cancel
+    // sweep reap an abandoned job itself.
+    const auto abandon = [&] { bump(mCancelled, tally.cancelled); };
 
     while (true) {
         Json frame;
         if (!client.recvWithin(frame, 50, &err)) {
             if (isTimeout(err)) {
-                if (cancel.cancelled() || camp.done.load() ||
-                    shard.settled.load()) {
+                if (camp.cancel->cancelled() || camp.done.load()) {
                     if (submitted)
                         abandon();
                     return;
                 }
-                if (submitted && !isHedge && opt.hedgeSeconds > 0 &&
-                    sinceSeconds(t0) > opt.hedgeSeconds &&
-                    !shard.hedged.exchange(true)) {
-                    std::lock_guard<std::mutex> lock(camp.mtx);
-                    if (!shard.settled.load() && !camp.failed) {
-                        std::size_t target =
-                            (w + 1) % endpoints.size();
-                        for (std::size_t j = 0;
-                             j < endpoints.size(); ++j)
-                            if (j != w && camp.queues[j].size() <
-                                              camp.queues[target]
-                                                  .size())
-                                target = j;
-                        // Front of the queue: a hedge exists
-                        // because the shard is already late.
-                        camp.queues[target].push_front(
-                            QEntry{shard.idx, true});
-                        camp.hedges.fetch_add(1);
-                        bump(mHedges);
-                        tally.hedges.fetch_add(1);
-                    }
-                }
                 continue;
             }
             // Transport death mid-dispatch.
-            if (submitted)
+            if (submitted) {
                 abandon();
-            else {
-                bump(mRejections);
-                tally.rejections.fetch_add(1);
+                retryOrFail(camp, shard, w,
+                            "worker " + workerNames[w] + ": " + err);
+            } else {
+                reject("worker " + workerNames[w] + ": " + err);
             }
-            reschedule("worker " + workerNames[w] + ": " + err);
             return;
         }
         const std::string &type = frame.at("type").asString();
@@ -542,26 +431,20 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             cachedFlag = frame.at("cached").asBool();
             if (frame.at("key").asString() != shard.hash)
                 warn("kfleet: shard '%s' canonicalized to %s on %s "
-                     "but %s here — cache/peer addressing is "
-                     "broken",
+                     "but %s here — cache addressing is broken",
                      shard.workload.c_str(),
                      frame.at("key").asString().c_str(),
                      workerNames[w].c_str(), shard.hash.c_str());
-            bump(mDispatched);
-            tally.dispatched.fetch_add(1);
+            bump(mDispatched, tally.dispatched);
             camp.dispatched.fetch_add(1);
             continue;
         }
-        if (type == "progress")
-            continue;
         if (type == "error") {
-            // Pre-admission rejection (overloaded / bad_request):
-            // no submitted frame, so nothing entered the
-            // dispatched bucket.
-            bump(mRejections);
-            tally.rejections.fetch_add(1);
-            reschedule("worker " + workerNames[w] + ": " +
-                       frame.at("error").asString());
+            // Pre-admission rejection (overloaded / bad_request): no
+            // submitted frame, so nothing entered the dispatched
+            // bucket.
+            reject("worker " + workerNames[w] + ": " +
+                   frame.at("error").asString());
             return;
         }
         if (type != "result")
@@ -569,133 +452,61 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
 
         const std::string &outcome = frame.at("outcome").asString();
         if (outcome == "done") {
-            const bool won = settleShard(
-                camp, shard, w,
-                cachedFlag || frame.at("cached").asBool()
-                    ? "cache-hit"
-                    : "computed",
-                isHedge || shard.hedged.load(), frame.at("result"),
-                progress);
-            if (won) {
-                bump(mCompleted);
-                tally.completed.fetch_add(1);
-                if (mShardSeconds)
-                    mShardSeconds->observe(sinceSeconds(t0));
-                if (isHedge) {
-                    bump(mHedgeWins);
-                    tally.hedgeWins.fetch_add(1);
-                }
-            } else {
-                abandon();
-            }
+            bump(mCompleted, tally.completed);
+            if (mShardSeconds)
+                mShardSeconds->observe(sinceSeconds(t0));
+            settleShard(camp, shard, w,
+                        cachedFlag || frame.at("cached").asBool()
+                            ? "cache-hit"
+                            : "computed",
+                        frame.at("result"));
             return;
         }
-        if (outcome == "rejected") {
-            // queue_full arrives after the submitted frame, so the
-            // dispatch is accounted cancelled AND as a rejection.
-            abandon();
-            bump(mRejections);
-            tally.rejections.fetch_add(1);
-            reschedule("worker " + workerNames[w] +
-                       " rejected: " + frame.at("error").asString());
-            return;
-        }
-        // failed / cancelled terminal outcome.
+        // queue_full (outcome "rejected") arrives after the submitted
+        // frame, so it is accounted cancelled AND as a rejection.
         abandon();
-        if (cancel.cancelled() || shard.settled.load())
+        if (outcome == "rejected") {
+            reject("worker " + workerNames[w] +
+                   " rejected: " + frame.at("error").asString());
             return;
-        reschedule("worker " + workerNames[w] + " outcome " +
-                   outcome + ": " +
-                   (frame.contains("error")
-                        ? frame.at("error").asString()
-                        : ""));
+        }
+        if (!camp.cancel->cancelled())
+            retryOrFail(camp, shard, w,
+                        "worker " + workerNames[w] + " outcome " +
+                            outcome + ": " +
+                            (frame.contains("error")
+                                 ? frame.at("error").asString()
+                                 : ""));
         return;
     }
 }
 
 void
-Coordinator::dispatchLoop(Campaign &camp, std::size_t w,
-                          const CancelToken &cancel,
-                          const serve::FleetProgressFn &progress)
+Coordinator::dispatchLoop(std::size_t w)
 {
-    while (!camp.done.load() && !cancel.cancelled()) {
-        QEntry entry;
-        bool have = false;
-        bool stolen = false;
-        {
-            std::lock_guard<std::mutex> lock(camp.mtx);
-            if (!camp.queues[w].empty()) {
-                entry = camp.queues[w].front();
-                camp.queues[w].pop_front();
-                have = true;
-            } else {
-                // Steal from the back of the most overloaded OTHER
-                // queue — but only when that queue exceeds its
-                // owner's idle slot capacity. An entry a free owner
-                // slot will pick up within its next poll tick is
-                // not up for grabs: stealing it would defeat the
-                // round-robin placement (on a one-core host, w0's
-                // dispatchers start first and would otherwise drain
-                // every queue before the other workers' threads
-                // even run).
-                const std::size_t slots =
-                    std::max(1u, opt.slotsPerWorker);
-                std::size_t victim = endpoints.size();
-                std::size_t worst = 0;
-                for (std::size_t j = 0; j < endpoints.size(); ++j) {
-                    if (j == w)
-                        continue;
-                    const std::size_t qlen = camp.queues[j].size();
-                    if (qlen == 0)
-                        continue;
-                    const std::size_t idle =
-                        slots > camp.inflight[j]
-                            ? slots - camp.inflight[j]
-                            : 0;
-                    if (qlen > idle && qlen + camp.inflight[j] >
-                                           worst) {
-                        worst = qlen + camp.inflight[j];
-                        victim = j;
-                    }
-                }
-                if (victim < endpoints.size()) {
-                    entry = camp.queues[victim].back();
-                    camp.queues[victim].pop_back();
-                    have = true;
-                    stolen = true;
-                }
-            }
-            if (have)
-                ++camp.inflight[w];
-        }
-        if (have) {
-            std::lock_guard<std::mutex> lock(loadMtx);
-            ++activeOn[w];
-        }
-        if (!have) {
-            // Nothing queued anywhere; the campaign may still have
-            // dispatches in flight on other slots.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
+    std::unique_lock<std::mutex> lock(mtx);
+    while (true) {
+        auto next = queue.end();
+        queueCv.wait(lock, [&] {
+            next = std::find_if(queue.begin(), queue.end(),
+                                [w](const Queued &q) {
+                                    return q.shard->avoid != w;
+                                });
+            return stopping || next != queue.end();
+        });
+        if (stopping)
+            return;
+        const Queued entry = *next;
+        queue.erase(next);
+        if (entry.camp->done.load())
             continue;
-        }
-        if (stolen) {
-            bump(mSteals);
-            tally.steals.fetch_add(1);
-            camp.steals.fetch_add(1);
-        }
-        Shard &shard = *camp.shards[entry.shardIdx];
-        if (!shard.settled.load())
-            runDispatch(camp, shard, w, entry.hedge, cancel,
-                        progress);
-        {
-            std::lock_guard<std::mutex> lock(camp.mtx);
-            --camp.inflight[w];
-        }
-        {
-            std::lock_guard<std::mutex> lock(loadMtx);
-            --activeOn[w];
-        }
+        ++entry.camp->dispatching;
+        ++entry.shard->attempts;
+        lock.unlock();
+        runDispatch(*entry.camp, *entry.shard, w);
+        lock.lock();
+        --entry.camp->dispatching;
+        settledCv.notify_all();
     }
 }
 
@@ -707,82 +518,48 @@ Coordinator::runCampaign(std::uint64_t jobId,
                          Json *attribution)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    bump(mCampaigns);
-    tally.campaigns.fetch_add(1);
+    bump(mCampaigns, tally.campaigns);
     const std::size_t nWorkers = endpoints.size();
     if (nWorkers == 0)
         throw std::runtime_error("fleet has no workers");
 
-    // Rotating round-robin origin: campaign k starts dealing at
-    // worker k % N, so a shard recurring across campaigns lands on
-    // a different worker and exercises the peer-fetch path.
-    const std::uint64_t offset = campaignCounter.fetch_add(1);
-
     Campaign camp;
-    camp.jobId = jobId;
-    camp.queues.resize(nWorkers);
-    camp.inflight.resize(nWorkers, 0);
-    std::vector<unsigned> placedNow(nWorkers, 0);
-    for (std::size_t i = 0; i < req.sopt.workloads.size(); ++i) {
+    camp.cancel = &cancel;
+    camp.progress = &progress;
+    for (const std::string &workload : req.sopt.workloads) {
         auto shard = std::make_unique<Shard>();
-        shard->idx = i;
-        shard->workload = req.sopt.workloads[i];
+        shard->workload = workload;
         shard->sopt = req.sopt;
-        shard->sopt.workloads = {shard->workload};
-        shard->canonical = serve::canonicalKeyFor(shard->sopt);
-        shard->hash = serve::ResultCache::hashKey(shard->canonical);
-        // Place on the globally least-busy worker; the rotation
-        // offset orders the scan, so an idle fleet degenerates to
-        // plain round-robin (which the peer-fetch tests pin).
-        std::size_t target = (offset + i) % nWorkers;
-        {
-            std::lock_guard<std::mutex> lock(loadMtx);
-            unsigned best = ~0u;
-            for (std::size_t k = 0; k < nWorkers; ++k) {
-                const std::size_t idx = (offset + i + k) % nWorkers;
-                const unsigned load =
-                    activeOn[idx] + placedNow[idx];
-                if (load < best) {
-                    best = load;
-                    target = idx;
-                }
-            }
-        }
-        ++placedNow[target];
-        camp.queues[target].push_back(QEntry{i, false});
+        shard->sopt.workloads = {workload};
+        shard->hash = serve::ResultCache::hashKey(
+            serve::canonicalKeyFor(shard->sopt));
         camp.shards.push_back(std::move(shard));
     }
     {
-        std::lock_guard<std::mutex> lock(activeMtx);
+        std::unique_lock<std::mutex> lock(mtx);
         active[jobId] = &camp;
-    }
-    std::vector<std::thread> slots;
-    for (std::size_t w = 0; w < nWorkers; ++w)
-        for (unsigned s = 0; s < std::max(1u, opt.slotsPerWorker);
-             ++s)
-            slots.emplace_back([this, &camp, w, &cancel,
-                                &progress] {
-                dispatchLoop(camp, w, cancel, progress);
-            });
-    for (std::thread &t : slots)
-        t.join();
-    {
-        std::lock_guard<std::mutex> lock(activeMtx);
+        for (const auto &shard : camp.shards)
+            queue.push_back(Queued{&camp, shard.get()});
+        queueCv.notify_all();
+        // Cancellation is a polled token, so wake up to look at it.
+        while (!camp.done.load() && !cancel.cancelled() && !stopping)
+            settledCv.wait_for(lock, std::chrono::milliseconds(50));
+        if (!camp.done.load() && !cancel.cancelled()) {
+            camp.failed = true;
+            camp.error = "fleet shut down mid-campaign";
+        }
+        // Withdraw what never started; running dispatches see done
+        // within one poll tick and return.
+        camp.done.store(true);
+        std::erase_if(queue,
+                      [&](const Queued &q) { return q.camp == &camp; });
+        settledCv.wait(lock, [&] { return camp.dispatching == 0; });
         active.erase(jobId);
     }
     if (cancel.cancelled())
         return Json(); // server discards cancelled results
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (camp.failed)
-            throw std::runtime_error(camp.error);
-        if (camp.completedCount != camp.shards.size())
-            throw std::runtime_error(
-                "campaign stalled: " +
-                std::to_string(camp.completedCount) + "/" +
-                std::to_string(camp.shards.size()) +
-                " shards settled");
-    }
+    if (camp.failed)
+        throw std::runtime_error(camp.error);
 
     if (attribution) {
         Json shards = Json::array();
@@ -791,15 +568,11 @@ Coordinator::runCampaign(std::uint64_t jobId,
             entry.set("workload", Json::string(shard->workload));
             entry.set("worker", Json::string(shard->worker));
             entry.set("origin", Json::string(shard->origin));
-            entry.set("hedged",
-                      Json::boolean(shard->hedged.load()));
             shards.push(std::move(entry));
         }
         Json doc = Json::object();
         doc.set("workers",
                 Json::number(std::uint64_t(nWorkers)));
-        doc.set("hedges", Json::number(camp.hedges.load()));
-        doc.set("steals", Json::number(camp.steals.load()));
         doc.set("shards", std::move(shards));
         *attribution = std::move(doc);
     }
@@ -838,24 +611,17 @@ Coordinator::runCampaign(std::uint64_t jobId,
 Json
 Coordinator::statusJson(std::uint64_t jobId)
 {
-    std::lock_guard<std::mutex> activeLock(activeMtx);
+    std::lock_guard<std::mutex> lock(mtx);
     const auto it = active.find(jobId);
     if (it == active.end())
         return Json();
-    Campaign &camp = *it->second;
-    std::size_t done = 0;
-    std::size_t total = 0;
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        done = camp.completedCount;
-        total = camp.shards.size();
-    }
+    const Campaign &camp = *it->second;
     Json doc = Json::object();
-    doc.set("shards_total", Json::number(std::uint64_t(total)));
-    doc.set("shards_done", Json::number(std::uint64_t(done)));
+    doc.set("shards_total",
+            Json::number(std::uint64_t(camp.shards.size())));
+    doc.set("shards_done",
+            Json::number(std::uint64_t(camp.completedCount)));
     doc.set("dispatched", Json::number(camp.dispatched.load()));
-    doc.set("hedges", Json::number(camp.hedges.load()));
-    doc.set("steals", Json::number(camp.steals.load()));
     return doc;
 }
 
@@ -872,12 +638,6 @@ Coordinator::statsJson()
             Json::number(tally.completed.load()));
     doc.set("shards_cancelled",
             Json::number(tally.cancelled.load()));
-    doc.set("steals", Json::number(tally.steals.load()));
-    doc.set("hedges", Json::number(tally.hedges.load()));
-    doc.set("hedge_wins", Json::number(tally.hedgeWins.load()));
-    doc.set("peer_fetches", Json::number(tally.peerFetches.load()));
-    doc.set("peer_fetch_misses",
-            Json::number(tally.peerFetchMisses.load()));
     doc.set("worker_rejections",
             Json::number(tally.rejections.load()));
     return doc;

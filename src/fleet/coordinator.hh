@@ -5,27 +5,17 @@
  * spawns itself — and implements serve::FleetRunner: a submitted
  * campaign is split into one shard per workload (the shard's cache
  * key is exactly what a direct submit of that workload subset would
- * canonicalize to, so worker result caches and the peer-fetch path
- * compose with normal traffic), the shards are dealt round-robin
- * across the workers' dispatch queues, and dispatcher threads drive
- * them over the ordinary kserve frame protocol.
+ * canonicalize to, so worker result caches compose with normal
+ * traffic), and the shards join one fleet-wide FIFO.
  *
- * Three mechanisms keep a heterogeneous fleet busy and the tail
- * latency bounded:
- *
- *  - Work stealing: a dispatcher whose own queue is empty pops from
- *    the back of the longest other queue (kfleet_steals_total).
- *  - Hedged retries: a shard with no terminal reply after
- *    hedgeSeconds is re-dispatched once to another worker; the
- *    first terminal result wins the shard and the loser is
- *    abandoned — its connection closes, and the worker's own
- *    orphan-cancel sweep reaps the job (kfleet_hedges_total /
- *    kfleet_hedge_wins_total).
- *  - Peer fetch: the coordinator remembers which worker computed
- *    each shard hash; when a later campaign lands the same shard on
- *    a different worker, the bytes are pulled from the computing
- *    worker's content-addressed cache with a "fetch" frame instead
- *    of being recomputed (kfleet_peer_fetches_total).
+ * start() launches a fixed pool of slotsPerWorker dispatcher threads
+ * per worker; each pops the oldest queued shard of any campaign and
+ * drives it over the ordinary kserve frame protocol. A worker holds
+ * at most its slot count of dispatches, so concurrent campaigns
+ * share the fleet by arrival order without any placement policy. A
+ * failed dispatch re-queues its shard, which the worker it just
+ * failed on does not retake while another worker exists; after
+ * maxShardAttempts dispatches the campaign fails.
  *
  * Shard results merge by concatenating the per-workload "workloads"
  * arrays in campaign order. runEvaluationSweep() pre-sizes its
@@ -37,21 +27,24 @@
  * Accounting invariant, checked by tools/check_metrics.py at drain:
  * kfleet_shards_dispatched_total == kfleet_shards_completed_total +
  * kfleet_shards_cancelled_total. Every dispatch that reached the
- * "submitted" frame ends in exactly one of the two buckets
- * (hedge losers, worker failures, and transport deaths all count as
- * cancelled). Peer fetches and pre-submit rejections are separate
- * families and never enter the invariant.
+ * "submitted" frame ends in exactly one of the two buckets (worker
+ * failures, transport deaths and campaign cancellation count as
+ * cancelled). Pre-submit rejections are a separate family and never
+ * enter the invariant.
  */
 
 #ifndef KILLI_FLEET_COORDINATOR_HH
 #define KILLI_FLEET_COORDINATOR_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -90,15 +83,10 @@ struct FleetOptions
     /** threads= for spawned workers. */
     unsigned workerThreads = 1;
     /** Extra flags appended to each spawned worker's command line
-     *  (e.g. "debug-job-delay-ms=500" for straggler injection). */
+     *  (e.g. "debug-job-delay-ms=500" to emulate service time). */
     std::vector<std::string> workerExtraArgs;
-    /** Concurrent dispatches per worker (its effective slot
-     *  count). */
+    /** Dispatcher threads per worker (its concurrent dispatches). */
     unsigned slotsPerWorker = 2;
-    /** Re-dispatch a shard to a second worker when its primary has
-     *  produced no terminal reply after this long; 0 disables
-     *  hedging. */
-    double hedgeSeconds = 30.0;
     /** Per-worker connect budget (retries with backoff inside). */
     double connectTimeoutSeconds = 10.0;
     /** Attempts per shard before the campaign fails. */
@@ -118,15 +106,17 @@ class Coordinator
     Coordinator(const Coordinator &) = delete;
     Coordinator &operator=(const Coordinator &) = delete;
 
-    /** Spawn local workers (if requested) and ping every endpoint.
-     *  False + err when any worker is unreachable. */
+    /** Spawn local workers (if requested), ping every endpoint, and
+     *  launch the dispatcher pool. False + err when any worker is
+     *  unreachable. */
     bool start(std::string *err);
 
     std::size_t workerCount() const { return endpoints.size(); }
 
     /**
-     * The serve::FleetRunner entry point: run @p req as a sharded
-     * campaign and return the merged result document. Throws
+     * The serve::FleetRunner entry point (after a successful
+     * start()): run @p req as a sharded campaign and return the
+     * merged result document. Throws
      * std::runtime_error when a shard exhausts its attempts;
      * returns early (partial doc, discarded by the server) once
      * @p cancel trips. Fills @p attribution with the per-shard
@@ -147,37 +137,38 @@ class Coordinator
      *  lifetime kfleet_* counter values. */
     Json statsJson();
 
-    /** Drain and reap the spawned workers. Idempotent. */
+    /** Join the dispatcher pool, then drain and reap the spawned
+     *  workers. Idempotent. */
     void shutdownWorkers();
 
   private:
     struct Shard;
     struct Campaign;
+    /** One fleet-wide queue entry. */
+    struct Queued
+    {
+        Campaign *camp;
+        Shard *shard;
+    };
 
     void registerFleetMetrics();
     bool spawnWorker(std::size_t idx, std::string *err);
     /** Connect to endpoint @p w with the configured retry budget. */
     bool connectWorker(std::size_t w, serve::Client &client,
                        std::string *err);
-    /** One dispatcher slot: pop/steal shards until the campaign
-     *  settles. */
-    void dispatchLoop(Campaign &camp, std::size_t w,
-                      const CancelToken &cancel,
-                      const serve::FleetProgressFn &progress);
+    /** One dispatcher slot of worker @p w: pop shards from the
+     *  fleet-wide queue until shutdownWorkers(). */
+    void dispatchLoop(std::size_t w);
     /** Drive one dispatch of @p shard on worker @p w to a terminal
      *  state. */
-    void runDispatch(Campaign &camp, Shard &shard, std::size_t w,
-                     bool isHedge, const CancelToken &cancel,
-                     const serve::FleetProgressFn &progress);
-    /** Try to serve @p shard from the worker that computed its hash
-     *  in an earlier campaign; true when the shard was settled. */
-    bool tryPeerFetch(Campaign &camp, Shard &shard, std::size_t w,
-                      const serve::FleetProgressFn &progress);
-    /** Accept @p result for @p shard; false when another dispatch
-     *  settled it first (the caller accounts itself cancelled). */
-    bool settleShard(Campaign &camp, Shard &shard, std::size_t w,
-                     const char *origin, bool hedged, Json result,
-                     const serve::FleetProgressFn &progress);
+    void runDispatch(Campaign &camp, Shard &shard, std::size_t w);
+    /** Re-queue @p shard after a failed dispatch on @p w, or fail the
+     *  campaign once its attempt budget is spent. */
+    void retryOrFail(Campaign &camp, Shard &shard, std::size_t w,
+                     const std::string &why);
+    /** Accept @p result for @p shard from worker @p w. */
+    void settleShard(Campaign &camp, Shard &shard, std::size_t w,
+                     const char *origin, Json result);
 
     FleetOptions opt;
     std::vector<WorkerEndpoint> endpoints;
@@ -186,38 +177,25 @@ class Coordinator
     std::vector<pid_t> spawnedPids;
     std::atomic<bool> workersDown{false};
 
-    /** Rotates the round-robin origin so consecutive campaigns land
-     *  the same shard on different workers (exercising peer fetch
-     *  deterministically). */
-    std::atomic<std::uint64_t> campaignCounter{0};
-
-    /** Dispatches currently in flight per worker, across ALL
-     *  campaigns — shard placement prefers the globally least-busy
-     *  worker (rotation order breaks ties, so placement under no
-     *  load is plain round-robin). */
-    std::mutex loadMtx;
-    std::vector<unsigned> activeOn;
-
-    /** Content hash -> worker index that computed it. */
-    std::mutex peerMtx;
-    std::map<std::string, std::size_t> completedBy;
-
+    /** Guards the queue, every campaign's shard state, and active. */
+    std::mutex mtx;
+    /** Dispatchers wait here for queued shards. */
+    std::condition_variable queueCv;
+    /** runCampaign() waits here for its shards to settle. */
+    std::condition_variable settledCv;
+    std::deque<Queued> queue;
+    std::vector<std::thread> dispatchers;
+    bool stopping = false;
     /** Active campaigns by front-end job id (statusJson). */
-    std::mutex activeMtx;
     std::map<std::uint64_t, Campaign *> active;
 
-    // kfleet_* instruments; null without a registry — every bump
-    // goes through inc() helpers that tolerate that, and the same
-    // tallies are mirrored into plain counters for statsJson().
+    // kfleet_* instruments; null without a registry. Every bump goes
+    // through bump(), which mirrors it into the matching Tally field
+    // for statsJson().
     metrics::Counter *mCampaigns = nullptr;
     metrics::Counter *mDispatched = nullptr;
     metrics::Counter *mCompleted = nullptr;
     metrics::Counter *mCancelled = nullptr;
-    metrics::Counter *mSteals = nullptr;
-    metrics::Counter *mHedges = nullptr;
-    metrics::Counter *mHedgeWins = nullptr;
-    metrics::Counter *mPeerFetches = nullptr;
-    metrics::Counter *mPeerFetchMisses = nullptr;
     metrics::Counter *mRejections = nullptr;
     metrics::Histogram *mShardSeconds = nullptr;
 
@@ -227,11 +205,6 @@ class Coordinator
         std::atomic<std::uint64_t> dispatched{0};
         std::atomic<std::uint64_t> completed{0};
         std::atomic<std::uint64_t> cancelled{0};
-        std::atomic<std::uint64_t> steals{0};
-        std::atomic<std::uint64_t> hedges{0};
-        std::atomic<std::uint64_t> hedgeWins{0};
-        std::atomic<std::uint64_t> peerFetches{0};
-        std::atomic<std::uint64_t> peerFetchMisses{0};
         std::atomic<std::uint64_t> rejections{0};
     } tally;
 };

@@ -102,9 +102,8 @@ main(int argc, char **argv)
     Options opts("kfleetd",
                  "sharded-campaign front end: speaks the kserved "
                  "protocol, but shards each submitted campaign "
-                 "across a fleet of kserved workers with work "
-                 "stealing, hedged retries, and peer-fetched "
-                 "results");
+                 "across a fleet of kserved workers through one "
+                 "fleet-wide shard queue");
     auto &sockPath =
         opts.add("socket", "kfleetd.sock",
                  "unix socket path (empty switches to TCP)");
@@ -113,10 +112,6 @@ main(int argc, char **argv)
         "TCP port on 127.0.0.1 when socket= is empty (0 = "
         "ephemeral, printed at startup)");
     port.range(0u, 65535u);
-    auto &ioThreads =
-        opts.add<unsigned>("io-threads", 1u,
-                           "reactor (epoll I/O) threads")
-            .range(1u, 64u);
     auto &threads =
         opts.add<unsigned>("threads", 4u,
                            "concurrent campaigns (front-end "
@@ -176,18 +171,12 @@ main(int argc, char **argv)
     auto &workerArgs = opts.add(
         "worker-args", "",
         "comma-separated extra flags for each spawned worker "
-        "(e.g. debug-job-delay-ms=500 to inject stragglers)");
+        "(e.g. debug-job-delay-ms=500 to emulate service time)");
     auto &slotsPerWorker =
         opts.add<unsigned>("slots-per-worker", 2u,
-                           "concurrent shard dispatches per worker")
+                           "dispatcher threads (concurrent shard "
+                           "dispatches) per worker")
             .range(1u, 64u);
-    auto &hedgeMs =
-        opts.add<std::uint64_t>(
-                "hedge-ms", std::uint64_t{30000},
-                "re-dispatch a shard to a second worker when its "
-                "primary has no terminal reply after this long "
-                "(0 disables hedging)")
-            .range(std::uint64_t{0}, std::uint64_t{86400000});
     auto &connectTimeoutMs =
         opts.add<std::uint64_t>("connect-timeout-ms",
                                 std::uint64_t{10000},
@@ -205,7 +194,6 @@ main(int argc, char **argv)
     sopt.socketPath = sockPath.value();
     sopt.port = std::uint16_t(port.value());
     sopt.threads = threads.value();
-    sopt.ioThreads = ioThreads;
     sopt.maxQueue = maxQueue;
     sopt.maxConns = maxConns.value();
     sopt.cacheEntries = cacheEntries;
@@ -228,7 +216,6 @@ main(int argc, char **argv)
     fopt.workerThreads = workerThreads.value();
     fopt.workerExtraArgs = splitList(workerArgs.value());
     fopt.slotsPerWorker = slotsPerWorker.value();
-    fopt.hedgeSeconds = double(hedgeMs.value()) / 1000.0;
     fopt.connectTimeoutSeconds =
         double(connectTimeoutMs.value()) / 1000.0;
     fopt.maxShardAttempts = maxShardAttempts.value();

@@ -100,30 +100,6 @@ ResultCache::lookup(const std::string &canonicalKey,
     return true;
 }
 
-bool
-ResultCache::lookupByHash(const std::string &hash,
-                          std::string &resultText)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    bool found = false;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        const auto it = index.find(hash);
-        if (it != index.end()) {
-            lru.splice(lru.begin(), lru, it->second);
-            resultText = it->second->resultText;
-            ++hitCount;
-            found = true;
-        }
-    }
-    if (found && hitLatency) {
-        hitLatency->observe(std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
-    }
-    return found;
-}
-
 std::string
 ResultCache::insert(const std::string &canonicalKey,
                     std::string resultText)

@@ -57,18 +57,6 @@ class ResultCache
                 std::string *hashOut = nullptr);
 
     /**
-     * Look up an entry directly by its content hash — the address a
-     * peer already holds from a "submitted"/"result" frame — and on
-     * a hit copy the stored bytes out and refresh LRU recency. Used
-     * by the fleet "fetch" frame: a coordinator that knows a shard's
-     * hash can pull the bytes from whichever worker computed it
-     * without re-deriving the canonical key. Counts a hit; a miss is
-     * NOT counted (a fetch probe is not a failed submit lookup).
-     */
-    bool lookupByHash(const std::string &hash,
-                      std::string &resultText);
-
-    /**
      * Insert (or overwrite) the result for @p canonicalKey and
      * return its content hash. Evicts the least-recently-used entry
      * beyond capacity.

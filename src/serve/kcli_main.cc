@@ -123,15 +123,12 @@ printFleetAttribution(const Json &fleet)
         return;
     const Json &shards = fleet.at("shards");
     TextTable table;
-    table.header({"shard", "worker", "origin", "hedged"});
+    table.header({"shard", "worker", "origin"});
     for (std::size_t i = 0; i < shards.size(); ++i) {
         const Json &s = shards.at(i);
         table.row({s.at("workload").asString(),
                    s.at("worker").asString(),
-                   s.at("origin").asString(),
-                   s.contains("hedged") && s.at("hedged").asBool()
-                       ? "yes"
-                       : "no"});
+                   s.at("origin").asString()});
     }
     table.print(std::cerr);
 }
@@ -346,9 +343,8 @@ runIdCommand(Options &opts, const std::string &cmd)
         table.row(
             {"state",
              known ? reply.at("state").asString() : "unknown"});
-        // A fleet coordinator annotates status with the per-shard
-        // dispatch state (worker, origin, hedges) while the
-        // campaign is in flight.
+        // A fleet coordinator annotates status with the campaign's
+        // shard counts while it is in flight.
         if (reply.contains("fleet")) {
             for (const auto &[key, value] :
                  reply.at("fleet").members())

@@ -55,12 +55,6 @@ main(int argc, char **argv)
                            "scheduler worker threads (0 = all "
                            "hardware threads)")
             .range(0u, 1024u);
-    auto &ioThreads =
-        opts.add<unsigned>("io-threads", 1u,
-                           "reactor (epoll I/O) threads; "
-                           "connections shard across them at "
-                           "accept time")
-            .range(1u, 64u);
     auto &maxConns =
         opts.add<unsigned>("max-conns", 0u,
                            "concurrent-connection bound; accepts "
@@ -71,10 +65,8 @@ main(int argc, char **argv)
         opts.add<std::uint64_t>(
                 "debug-job-delay-ms", std::uint64_t{0},
                 "testing/benchmark hook: sleep this long "
-                "(cancellably) before running each admitted job — "
-                "injects deterministic stragglers for fleet hedging "
-                "tests and emulates a fixed service time for load "
-                "runs")
+                "(cancellably) before running each admitted job, "
+                "emulating a fixed service time for load runs")
             .range(std::uint64_t{0}, std::uint64_t{600000});
     auto &maxQueue =
         opts.add<unsigned>("max-queue", 64u,
@@ -109,7 +101,6 @@ main(int argc, char **argv)
     sopt.socketPath = sockPath.value();
     sopt.port = std::uint16_t(port.value());
     sopt.threads = threads;
-    sopt.ioThreads = ioThreads;
     sopt.maxQueue = maxQueue;
     sopt.maxConns = maxConns.value();
     sopt.debugJobDelaySeconds =

@@ -9,12 +9,10 @@
  *     length  := 4-byte big-endian unsigned payload byte count
  *     payload := one JSON object with a string "type" member
  *
- * Requests: submit, status, cancel, drain, stats, metrics, ping,
- *           fetch (content-addressed cache lookup by hash — the
- *           peer-transfer path of the fleet fabric, src/fleet).
+ * Requests: submit, status, cancel, drain, stats, metrics, ping.
  * Replies:  submitted, progress, result, status_reply,
  *           cancel_reply, draining, stats_reply, metrics_reply,
- *           pong, fetch_reply, error.
+ *           pong, error.
  *
  * See SERVING.md for the full grammar, member tables, and the
  * cache-key definition. The decoder is strict: an oversized length

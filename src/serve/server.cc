@@ -46,20 +46,6 @@ setNonBlocking(int fd)
            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/** A plausible content hash: 64 lowercase hex digits. Checked before
- *  splicing a client-supplied fetch key into a reply, so the key can
- *  never break out of its JSON string. */
-bool
-isContentHash(const std::string &key)
-{
-    if (key.size() != 64)
-        return false;
-    for (const char c : key)
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-            return false;
-    return true;
-}
-
 /**
  * The terminal frame for a computed/cached result is spliced
  * together as text so the "result" member is the *stored bytes* —
@@ -170,12 +156,10 @@ Server::registerServerMetrics()
     mHttpRequests =
         &registry.counter("kserved_http_requests_total",
                           "Requests served by the /metrics listener");
-    mFetchHits = &registry.counter(
-        "kserved_fetch_hits_total",
-        "Fetch frames answered from the result cache by hash");
-    mFetchMisses = &registry.counter(
-        "kserved_fetch_misses_total",
-        "Fetch frames that found no entry for the hash");
+    mWakeups = &registry.counter(
+        "kserved_reactor_wakeups_total",
+        "Reactor wakeups via the wake pipe (worker-enqueued frames "
+        "and drain signals)");
     mSlowJobs = &registry.counter(
         "kserved_slow_jobs_total",
         "Jobs that exceeded the slow-job threshold");
@@ -202,9 +186,6 @@ Server::registerServerMetrics()
             "Per-stage job lifecycle latency",
             {{"stage", kStageNames[k]}});
     }
-    registry.gauge("kserved_io_reactors",
-                   "Reactor (epoll I/O) threads serving connections")
-        .set(double(std::max(1u, opt.ioThreads)));
     registry.gaugeFn("kserved_connections_active",
                      "Client connections currently open", {}, [this] {
                          return double(activeConns.load(
@@ -241,14 +222,11 @@ Server::start(std::string *err)
             ::close(metricsFd);
             metricsFd = -1;
         }
-        for (const auto &r : reactors) {
-            if (r->epollFd >= 0)
-                ::close(r->epollFd);
-            for (int fd : r->wakeFd)
-                if (fd >= 0)
-                    ::close(fd);
+        for (int *fd : {&epollFd, &wakeFd[0], &wakeFd[1]}) {
+            if (*fd >= 0)
+                ::close(*fd);
+            *fd = -1;
         }
-        reactors.clear();
         return false;
     };
 
@@ -322,102 +300,55 @@ Server::start(std::string *err)
         setNonBlocking(metricsFd);
     }
 
-    const unsigned nReactors = std::max(1u, opt.ioThreads);
-    for (unsigned i = 0; i < nReactors; ++i) {
-        auto r = std::make_unique<Reactor>();
-        r->idx = i;
-        r->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
-        if (r->epollFd < 0) {
-            reactors.push_back(std::move(r));
-            return fail("epoll_create1");
-        }
-        if (::pipe(r->wakeFd) != 0) {
-            reactors.push_back(std::move(r));
-            return fail("pipe");
-        }
-        setNonBlocking(r->wakeFd[0]);
-        setNonBlocking(r->wakeFd[1]);
+    epollFd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epollFd < 0)
+        return fail("epoll_create1");
+    if (::pipe(wakeFd) != 0)
+        return fail("pipe");
+    setNonBlocking(wakeFd[0]);
+    setNonBlocking(wakeFd[1]);
+    for (const int fd : {wakeFd[0], listenFd, metricsFd}) {
+        if (fd < 0)
+            continue;
         epoll_event ev{};
         ev.events = EPOLLIN;
-        ev.data.fd = r->wakeFd[0];
-        if (::epoll_ctl(r->epollFd, EPOLL_CTL_ADD, r->wakeFd[0],
-                        &ev) != 0) {
-            reactors.push_back(std::move(r));
-            return fail("epoll_ctl wake");
-        }
-        // Sharded accept: every reactor polls the one listening
-        // socket, EPOLLEXCLUSIVE keeps the kernel from waking the
-        // whole pool per pending connection (no thundering herd).
-        ev.events = EPOLLIN | EPOLLEXCLUSIVE;
-        ev.data.fd = listenFd;
-        if (::epoll_ctl(r->epollFd, EPOLL_CTL_ADD, listenFd, &ev) !=
-            0) {
-            reactors.push_back(std::move(r));
-            return fail("epoll_ctl listen");
-        }
-        r->acceptArmed = true;
-        if (i == 0 && metricsFd >= 0) {
-            ev.events = EPOLLIN;
-            ev.data.fd = metricsFd;
-            if (::epoll_ctl(r->epollFd, EPOLL_CTL_ADD, metricsFd,
-                            &ev) != 0) {
-                reactors.push_back(std::move(r));
-                return fail("epoll_ctl metrics");
-            }
-            r->metricsArmed = true;
-        }
-        const std::string label = std::to_string(i);
-        r->mAccepted = &registry.counter(
-            "kserved_reactor_connections_total",
-            "Connections accepted, by owning reactor",
-            {{"reactor", label}});
-        r->mWakeups = &registry.counter(
-            "kserved_reactor_wakeups_total",
-            "Reactor wakeups via the wake pipe (worker-enqueued "
-            "frames and drain signals)",
-            {{"reactor", label}});
-        reactors.push_back(std::move(r));
+        ev.data.fd = fd;
+        if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev) != 0)
+            return fail("epoll_ctl");
     }
 
     started.store(true);
-    for (auto &r : reactors)
-        r->thread =
-            std::thread(&Server::reactorLoop, this, std::ref(*r));
+    reactor = std::thread(&Server::reactorLoop, this);
     return true;
 }
 
 void
-Server::wakeReactor(const Reactor &r)
+Server::wakeReactor() const
 {
-    if (r.wakeFd[1] >= 0) {
+    if (wakeFd[1] >= 0) {
         const char c = 0;
         // Non-blocking; a full pipe already guarantees a wakeup.
-        [[maybe_unused]] ssize_t n = ::write(r.wakeFd[1], &c, 1);
+        [[maybe_unused]] ssize_t n = ::write(wakeFd[1], &c, 1);
     }
 }
 
 void
 Server::notifyConn(const std::shared_ptr<Connection> &conn)
 {
-    const int idx = conn->reactorIdx.load(std::memory_order_acquire);
-    if (idx < 0 || std::size_t(idx) >= reactors.size())
-        return;
     if (conn->notified.exchange(true, std::memory_order_acq_rel))
-        return; // owning reactor already has a pending entry
-    Reactor &r = *reactors[std::size_t(idx)];
+        return; // the reactor already has a pending entry
     {
-        std::lock_guard<std::mutex> lock(r.pendingMtx);
-        r.pending.push_back(conn);
+        std::lock_guard<std::mutex> lock(pendingMtx);
+        pending.push_back(conn);
     }
-    wakeReactor(r);
+    wakeReactor();
 }
 
 void
 Server::requestDrain()
 {
     drainFlag.store(true, std::memory_order_relaxed);
-    for (const auto &r : reactors)
-        wakeReactor(*r);
+    wakeReactor();
 }
 
 void
@@ -425,9 +356,8 @@ Server::waitDone()
 {
     if (!started.load(std::memory_order_acquire))
         return;
-    for (auto &r : reactors)
-        if (r->thread.joinable())
-            r->thread.join();
+    if (reactor.joinable())
+        reactor.join();
     cleanupAfterJoin();
 }
 
@@ -443,12 +373,10 @@ Server::cleanupAfterJoin()
 {
     if (cleanedUp.exchange(true))
         return;
-    for (const auto &r : reactors) {
-        if (r->epollFd >= 0)
-            ::close(r->epollFd);
-        for (int fd : r->wakeFd)
-            if (fd >= 0)
-                ::close(fd);
+    for (int *fd : {&epollFd, &wakeFd[0], &wakeFd[1]}) {
+        if (*fd >= 0)
+            ::close(*fd);
+        *fd = -1;
     }
     if (listenFd >= 0) {
         ::close(listenFd);
@@ -469,7 +397,7 @@ Server::cleanupAfterJoin()
 }
 
 void
-Server::acceptClients(Reactor &r)
+Server::acceptClients()
 {
     while (true) {
         const int fd = ::accept(listenFd, nullptr, nullptr);
@@ -478,15 +406,12 @@ Server::acceptClients(Reactor &r)
         setNonBlocking(fd);
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
-        conn->reactorIdx.store(int(r.idx),
-                               std::memory_order_release);
-        r.connByFd.emplace(fd, conn);
+        connByFd.emplace(fd, conn);
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = fd;
-        ::epoll_ctl(r.epollFd, EPOLL_CTL_ADD, fd, &ev);
+        ::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev);
         mConnections->inc();
-        r.mAccepted->inc();
         const std::int64_t active =
             activeConns.fetch_add(1, std::memory_order_relaxed) + 1;
         if (opt.maxConns > 0 &&
@@ -509,8 +434,7 @@ Server::acceptClients(Reactor &r)
 }
 
 void
-Server::closeConnection(Reactor &r,
-                        const std::shared_ptr<Connection> &conn)
+Server::closeConnection(const std::shared_ptr<Connection> &conn)
 {
     if (conn->fd < 0)
         return;
@@ -527,8 +451,8 @@ Server::closeConnection(Reactor &r,
     }
     for (const std::uint64_t id : orphans)
         scheduler.cancel(id);
-    ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
-    r.connByFd.erase(conn->fd);
+    ::epoll_ctl(epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    connByFd.erase(conn->fd);
     ::close(conn->fd);
     conn->fd = -1;
     activeConns.fetch_sub(1, std::memory_order_relaxed);
@@ -545,8 +469,7 @@ Server::enqueueFrame(const std::shared_ptr<Connection> &conn,
 }
 
 void
-Server::readFromClient(Reactor &r,
-                       const std::shared_ptr<Connection> &conn)
+Server::readFromClient(const std::shared_ptr<Connection> &conn)
 {
     char buf[65536];
     while (true) {
@@ -560,7 +483,7 @@ Server::readFromClient(Reactor &r,
         if (n < 0 && errno == EINTR)
             continue;
         // EOF or hard error: drop the connection.
-        closeConnection(r, conn);
+        closeConnection(conn);
         return;
     }
 
@@ -581,8 +504,7 @@ Server::readFromClient(Reactor &r,
 }
 
 void
-Server::flushToClient(Reactor &r,
-                      const std::shared_ptr<Connection> &conn)
+Server::flushToClient(const std::shared_ptr<Connection> &conn)
 {
     bool close = false;
     {
@@ -636,14 +558,13 @@ Server::flushToClient(Reactor &r,
             close = true;
     }
     if (close)
-        closeConnection(r, conn);
+        closeConnection(conn);
 }
 
 void
-Server::flushAndArm(Reactor &r,
-                    const std::shared_ptr<Connection> &conn)
+Server::flushAndArm(const std::shared_ptr<Connection> &conn)
 {
-    flushToClient(r, conn);
+    flushToClient(conn);
     if (conn->fd < 0)
         return;
     const bool want = conn->pendingOut();
@@ -652,46 +573,38 @@ Server::flushAndArm(Reactor &r,
         epoll_event ev{};
         ev.events = EPOLLIN | (want ? std::uint32_t(EPOLLOUT) : 0u);
         ev.data.fd = conn->fd;
-        ::epoll_ctl(r.epollFd, EPOLL_CTL_MOD, conn->fd, &ev);
+        ::epoll_ctl(epollFd, EPOLL_CTL_MOD, conn->fd, &ev);
     }
 }
 
 void
-Server::reactorLoop(Reactor &r)
+Server::reactorLoop()
 {
     epoll_event evs[128];
     while (true) {
-        if (!r.draining && drainFlag.load(std::memory_order_relaxed)) {
-            r.draining = true;
-            if (!drainAnnounced.exchange(true))
-                inform("kserved: draining (in-flight jobs finish, "
-                       "queued jobs cancelled)");
-            if (!drainBegun.exchange(true))
-                scheduler.beginDrain();
-            if (r.acceptArmed) {
-                ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, listenFd,
-                            nullptr);
-                r.acceptArmed = false;
-            }
+        if (!draining && drainFlag.load(std::memory_order_relaxed)) {
+            draining = true;
+            inform("kserved: draining (in-flight jobs finish, "
+                   "queued jobs cancelled)");
+            scheduler.beginDrain();
+            ::epoll_ctl(epollFd, EPOLL_CTL_DEL, listenFd, nullptr);
             // The metrics plane shuts with the intake: a scrape of a
             // half-drained daemon is not a state worth serving.
-            if (r.metricsArmed) {
-                ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, metricsFd,
+            if (metricsFd >= 0)
+                ::epoll_ctl(epollFd, EPOLL_CTL_DEL, metricsFd,
                             nullptr);
-                r.metricsArmed = false;
-            }
-            for (const auto &[fd, hc] : r.httpByFd) {
-                ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, fd, nullptr);
+            for (const auto &[fd, hc] : httpByFd) {
+                ::epoll_ctl(epollFd, EPOLL_CTL_DEL, fd, nullptr);
                 ::close(fd);
             }
-            r.httpByFd.clear();
+            httpByFd.clear();
         }
 
         // While draining wait with a timeout so in-flight completion
         // (signalled via the wake pipe, but belt and braces) is
         // always noticed.
-        const int n = ::epoll_wait(r.epollFd, evs, 128,
-                                   r.draining ? 50 : -1);
+        const int n = ::epoll_wait(epollFd, evs, 128,
+                                   draining ? 50 : -1);
         if (n < 0 && errno != EINTR) {
             warn("kserved: epoll_wait: %s", std::strerror(errno));
             break;
@@ -699,43 +612,43 @@ Server::reactorLoop(Reactor &r)
         for (int i = 0; i < std::max(n, 0); ++i) {
             const int fd = evs[i].data.fd;
             const std::uint32_t events = evs[i].events;
-            if (fd == r.wakeFd[0]) {
+            if (fd == wakeFd[0]) {
                 char sink[256];
-                while (::read(r.wakeFd[0], sink, sizeof(sink)) > 0) {
+                while (::read(wakeFd[0], sink, sizeof(sink)) > 0) {
                 }
-                r.mWakeups->inc();
+                mWakeups->inc();
                 continue;
             }
             if (fd == listenFd) {
-                if (!r.draining)
-                    acceptClients(r);
+                if (!draining)
+                    acceptClients();
                 continue;
             }
             if (metricsFd >= 0 && fd == metricsFd) {
-                if (!r.draining)
-                    acceptMetricsClients(r);
+                if (!draining)
+                    acceptMetricsClients();
                 continue;
             }
-            const auto cit = r.connByFd.find(fd);
-            if (cit != r.connByFd.end()) {
+            const auto cit = connByFd.find(fd);
+            if (cit != connByFd.end()) {
                 const std::shared_ptr<Connection> conn = cit->second;
                 if (events & (EPOLLIN | EPOLLERR | EPOLLHUP))
-                    readFromClient(r, conn);
+                    readFromClient(conn);
                 if (conn->fd >= 0)
-                    flushAndArm(r, conn);
+                    flushAndArm(conn);
                 continue;
             }
-            const auto hit = r.httpByFd.find(fd);
-            if (hit != r.httpByFd.end()) {
+            const auto hit = httpByFd.find(fd);
+            if (hit != httpByFd.end()) {
                 HttpConn &hc = hit->second;
                 const bool readable = (events & EPOLLIN) != 0;
                 const bool bad =
                     (events & (EPOLLERR | EPOLLHUP)) != 0;
                 if (!serviceMetricsConn(hc, readable, bad)) {
-                    ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, fd,
+                    ::epoll_ctl(epollFd, EPOLL_CTL_DEL, fd,
                                 nullptr);
                     ::close(fd);
-                    r.httpByFd.erase(hit);
+                    httpByFd.erase(hit);
                 } else if ((!hc.out.empty()) != hc.outArmed) {
                     hc.outArmed = !hc.out.empty();
                     epoll_event ev{};
@@ -743,7 +656,7 @@ Server::reactorLoop(Reactor &r)
                         EPOLLIN |
                         (hc.outArmed ? std::uint32_t(EPOLLOUT) : 0u);
                     ev.data.fd = fd;
-                    ::epoll_ctl(r.epollFd, EPOLL_CTL_MOD, fd, &ev);
+                    ::epoll_ctl(epollFd, EPOLL_CTL_MOD, fd, &ev);
                 }
                 continue;
             }
@@ -754,18 +667,18 @@ Server::reactorLoop(Reactor &r)
         // and is picked up next round at the latest.
         std::vector<std::shared_ptr<Connection>> pend;
         {
-            std::lock_guard<std::mutex> lock(r.pendingMtx);
-            pend.swap(r.pending);
+            std::lock_guard<std::mutex> lock(pendingMtx);
+            pend.swap(pending);
         }
         for (const auto &conn : pend) {
             conn->notified.store(false, std::memory_order_release);
             if (conn->fd >= 0)
-                flushAndArm(r, conn);
+                flushAndArm(conn);
         }
 
-        if (r.draining && scheduler.idle()) {
+        if (draining && scheduler.idle()) {
             bool flushed = true;
-            for (const auto &[fd, conn] : r.connByFd)
+            for (const auto &[fd, conn] : connByFd)
                 if (conn->pendingOut())
                     flushed = false;
             if (flushed)
@@ -774,18 +687,18 @@ Server::reactorLoop(Reactor &r)
     }
 
     std::vector<std::shared_ptr<Connection>> remaining;
-    remaining.reserve(r.connByFd.size());
-    for (const auto &[fd, conn] : r.connByFd)
+    remaining.reserve(connByFd.size());
+    for (const auto &[fd, conn] : connByFd)
         remaining.push_back(conn);
     for (const auto &conn : remaining)
-        closeConnection(r, conn);
-    for (const auto &[fd, hc] : r.httpByFd)
+        closeConnection(conn);
+    for (const auto &[fd, hc] : httpByFd)
         ::close(fd);
-    r.httpByFd.clear();
+    httpByFd.clear();
 }
 
 void
-Server::acceptMetricsClients(Reactor &r)
+Server::acceptMetricsClients()
 {
     while (true) {
         const int fd = ::accept(metricsFd, nullptr, nullptr);
@@ -797,8 +710,8 @@ Server::acceptMetricsClients(Reactor &r)
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = fd;
-        ::epoll_ctl(r.epollFd, EPOLL_CTL_ADD, fd, &ev);
-        r.httpByFd.emplace(fd, std::move(hc));
+        ::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev);
+        httpByFd.emplace(fd, std::move(hc));
     }
 }
 
@@ -900,45 +813,6 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
         doc.set("metrics", registry.toJson());
         doc.set("text", Json::string(registry.prometheusText()));
         enqueueFrame(conn, encodeFrame(doc));
-        return;
-    }
-
-    if (type == "fetch") {
-        // Peer transfer: address the result cache by content hash.
-        // The hash format is validated before it is spliced into the
-        // reply text, and the hit path reuses the stored bytes so a
-        // fetched result is byte-identical to the original reply's
-        // "result" member.
-        if (!req.contains("key") ||
-            req.at("key").kind() != Json::Kind::String ||
-            !isContentHash(req.at("key").asString())) {
-            enqueueFrame(
-                conn, encodeFrame(errorReply(
-                          "bad_request",
-                          "\"fetch\" needs a 64-hex-digit string "
-                          "\"key\"")));
-            return;
-        }
-        const std::string &key = req.at("key").asString();
-        std::string text;
-        if (cache.lookupByHash(key, text)) {
-            mFetchHits->inc();
-            std::string out =
-                "{\"type\":\"fetch_reply\",\"found\":true,"
-                "\"key\":\"";
-            out += key;
-            out += "\",\"result\":";
-            out += text;
-            out += "}";
-            enqueueFrame(conn, encodeFramePayload(out));
-        } else {
-            mFetchMisses->inc();
-            Json doc = Json::object();
-            doc.set("type", Json::string("fetch_reply"));
-            doc.set("found", Json::boolean(false));
-            doc.set("key", Json::string(key));
-            enqueueFrame(conn, encodeFrame(doc));
-        }
         return;
     }
 
@@ -1076,8 +950,8 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
         spans->queue = sinceSeconds(spans->submit, workStart) -
                        spans->decode;
         if (opt.debugJobDelaySeconds > 0) {
-            // Cancellable fixed service-time injection (straggler
-            // and emulation hook; see ServerOptions).
+            // Cancellable fixed service-time injection (emulation
+            // hook; see ServerOptions).
             const auto until =
                 workStart +
                 std::chrono::duration_cast<

@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the kcommon utility library: BitVec semantics and
- * invariants, RNG determinism and distribution sanity, Config
- * parsing, stats registry behaviour, JSON documents, and table
- * rendering.
+ * invariants, RNG determinism and distribution sanity, stats
+ * registry behaviour, JSON documents, and table rendering.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <thread>
 
 #include "common/bitvec.hh"
-#include "common/config.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -194,21 +192,6 @@ TEST(RngTest, PoissonMean)
     EXPECT_NEAR(sum / trials, 2.5, 0.1);
 }
 
-TEST(ConfigTest, ParsesKeyValues)
-{
-    Config cfg;
-    const char *argv[] = {"prog", "l2.size=2097152", "ratio=256",
-                          "verbose=true", "scale=0.625"};
-    cfg.parseArgs(5, const_cast<char **>(argv));
-    EXPECT_EQ(cfg.getInt("l2.size", 0), 2097152);
-    EXPECT_EQ(cfg.getInt("ratio", 0), 256);
-    EXPECT_TRUE(cfg.getBool("verbose", false));
-    EXPECT_DOUBLE_EQ(cfg.getDouble("scale", 0.0), 0.625);
-    EXPECT_EQ(cfg.getInt("absent", 17), 17);
-    EXPECT_TRUE(cfg.has("ratio"));
-    EXPECT_FALSE(cfg.has("absent"));
-}
-
 TEST(StatsTest, CountersAccumulate)
 {
     StatGroup stats;
@@ -296,29 +279,6 @@ TEST(TableTest, MismatchedRowWidthIsFatal)
     EXPECT_DEATH(t.row({"only-one"}), "");
 }
 
-TEST(ConfigTest, MalformedArgumentIsFatal)
-{
-    Config cfg;
-    const char *argv[] = {"prog", "no-equals-sign"};
-    EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)), "");
-}
-
-TEST(ConfigTest, EnvironmentFallback)
-{
-    setenv("KILLI_TEST_KNOB", "17", 1);
-    Config cfg;
-    EXPECT_EQ(cfg.getInt("test.knob", 0), 17);
-    EXPECT_TRUE(cfg.has("test.knob"));
-    unsetenv("KILLI_TEST_KNOB");
-}
-
-TEST(ConfigTest, ExplicitSetWinsOverDefault)
-{
-    Config cfg;
-    cfg.set("ratio", "64");
-    EXPECT_EQ(cfg.getInt("ratio", 256), 64);
-}
-
 TEST(BitVecTest, FromStringRejectsGarbage)
 {
     EXPECT_DEATH(BitVec::fromString("01x0"), "");
@@ -330,36 +290,6 @@ TEST(RngTest, ForkedStreamsDiverge)
     Rng childA = parent.fork();
     Rng childB = parent.fork();
     EXPECT_NE(childA.next64(), childB.next64());
-}
-
-TEST(ConfigTest, MalformedIntegerIsFatal)
-{
-    Config cfg;
-    cfg.set("ratio", "25six");
-    EXPECT_DEATH(cfg.getInt("ratio", 0), "expects an integer");
-}
-
-TEST(ConfigTest, MalformedDoubleIsFatal)
-{
-    Config cfg;
-    cfg.set("scale", "half");
-    EXPECT_DEATH(cfg.getDouble("scale", 1.0), "expects a number");
-}
-
-TEST(ConfigTest, MalformedBoolIsFatal)
-{
-    Config cfg;
-    cfg.set("verbose", "yep");
-    EXPECT_DEATH(cfg.getBool("verbose", false), "expects a boolean");
-}
-
-TEST(ConfigTest, TrailingGarbageOnNumberIsFatal)
-{
-    // strtol would silently accept "42abc" as 42; the strict parser
-    // must not.
-    Config cfg;
-    cfg.set("seed", "42abc");
-    EXPECT_DEATH(cfg.getInt("seed", 0), "expects an integer");
 }
 
 TEST(StatsTest, EmptyDistributionHasNoExtrema)

@@ -1,15 +1,13 @@
 /**
  * @file
  * Tests for the fleet fabric (src/fleet): a Coordinator driving real
- * in-process kserved workers over loopback TCP. Placement is
- * deterministic for an idle fleet (rotating round-robin; stealing
- * only fires on overloaded queues), so the tests can pin which
- * worker computes which shard and force each fabric mechanism in
- * isolation: bit-identical shard merging against a direct in-process
- * sweep, peer fetch of a shard recurring on a different worker,
- * hedged re-dispatch away from an injected straggler, worker-side
- * cache hits on repeat campaigns, and the dispatch-accounting
- * invariant (dispatched == completed + cancelled) after each.
+ * in-process kserved workers over loopback TCP. Which worker's
+ * dispatcher pops a shard from the fleet-wide queue is up to the OS
+ * scheduler, so the tests check outcomes, not placement:
+ * bit-identical shard merging against a direct in-process sweep, a
+ * failed dispatch retried on the other worker, worker-side cache
+ * hits on repeat campaigns, and the dispatch-accounting invariant
+ * (dispatched == completed + cancelled) after each.
  */
 
 #include <atomic>
@@ -36,9 +34,7 @@ namespace
 
 /**
  * N in-process kserved workers on ephemeral loopback TCP ports plus
- * a Coordinator attached to them. @p delays injects a per-worker
- * debugJobDelaySeconds straggler (workers beyond the vector run
- * undelayed).
+ * a Coordinator attached to them.
  */
 struct TestFleet
 {
@@ -46,16 +42,13 @@ struct TestFleet
     std::vector<std::unique_ptr<serve::Server>> workers;
     std::unique_ptr<Coordinator> coord;
 
-    explicit TestFleet(std::size_t n, FleetOptions fopt = {},
-                       const std::vector<double> &delays = {})
+    explicit TestFleet(std::size_t n, FleetOptions fopt = {})
     {
         for (std::size_t i = 0; i < n; ++i) {
             serve::ServerOptions sopt;
             sopt.port = 0; // ephemeral loopback TCP
             sopt.threads = 2;
             sopt.maxQueue = 16;
-            if (i < delays.size())
-                sopt.debugJobDelaySeconds = delays[i];
             workers.push_back(
                 std::make_unique<serve::Server>(sopt));
             std::string err;
@@ -165,17 +158,13 @@ TEST(Fleet, TwoWorkerCampaignIsBitIdenticalToDirectSweep)
     // One synthesized point-done event per shard.
     EXPECT_EQ(pointsDone.load(), 2u);
 
-    // Round-robin placement on an idle fleet: one shard per worker,
-    // both computed, nothing hedged.
+    // Each shard was computed by one of the two workers.
     EXPECT_EQ(attribution.at("workers").asInt(), 2);
-    EXPECT_EQ(shardFor(attribution, "xsbench").at("worker")
-                  .asString(), "w0");
-    EXPECT_EQ(shardFor(attribution, "spmv").at("worker").asString(),
-              "w1");
     for (const char *wl : {"xsbench", "spmv"}) {
         const Json shard = shardFor(attribution, wl);
+        const std::string worker = shard.at("worker").asString();
+        EXPECT_TRUE(worker == "w0" || worker == "w1") << worker;
         EXPECT_EQ(shard.at("origin").asString(), "computed");
-        EXPECT_FALSE(shard.at("hedged").asBool());
     }
     expectLedger(*fleet.coord, 2, 2, 0);
 
@@ -185,75 +174,37 @@ TEST(Fleet, TwoWorkerCampaignIsBitIdenticalToDirectSweep)
     EXPECT_NE(prom.find("kfleet_shard_seconds"), std::string::npos);
 }
 
-TEST(Fleet, RecurringShardIsServedByPeerFetch)
-{
-    TestFleet fleet(2);
-    CancelToken cancel;
-
-    // Campaign 1 deals xsbench -> w0, spmv -> w1 (rotation offset
-    // 0; stealing cannot fire on single-entry queues).
-    Json attr1;
-    const Json doc1 = fleet.coord->runCampaign(
-        1, campaignFor("xsbench,spmv"), cancel,
-        serve::FleetProgressFn(), &attr1);
-    EXPECT_EQ(shardFor(attr1, "spmv").at("worker").asString(), "w1");
-    EXPECT_EQ(shardFor(attr1, "spmv").at("origin").asString(),
-              "computed");
-
-    // Campaign 2 rotates the origin: stream -> w1, spmv -> w0. But
-    // w1 already computed this exact spmv shard, so w0's dispatcher
-    // pulls the bytes from w1's cache instead of recomputing.
-    Json attr2;
-    const Json doc2 = fleet.coord->runCampaign(
-        2, campaignFor("stream,spmv"), cancel,
-        serve::FleetProgressFn(), &attr2);
-    const Json shard = shardFor(attr2, "spmv");
-    EXPECT_EQ(shard.at("origin").asString(), "peer-fetch");
-    EXPECT_EQ(shard.at("worker").asString(), "w1");
-
-    // Peer-fetched bytes are the original bytes (spmv is the second
-    // "workloads" entry of both campaigns).
-    EXPECT_EQ(doc1.at("workloads").at(1).toString(0),
-              doc2.at("workloads").at(1).toString(0));
-
-    const Json stats = fleet.coord->statsJson();
-    EXPECT_EQ(stats.at("peer_fetches").asInt(), 1);
-    EXPECT_EQ(stats.at("peer_fetch_misses").asInt(), 0);
-    // 3 computed dispatches; the peer fetch never dispatched.
-    expectLedger(*fleet.coord, 3, 3, 0);
-}
-
-TEST(Fleet, HedgedRetryWinsOnFastWorkerAndLoserIsCancelled)
+TEST(Fleet, FailedDispatchIsRetriedOnAnotherWorker)
 {
     FleetOptions fopt;
+    // One slot per worker, so w1 cannot pop both shards before w0's
+    // dispatcher takes one; a short connect budget makes the
+    // stopped w0 fail fast.
     fopt.slotsPerWorker = 1;
-    fopt.hedgeSeconds = 0.2;
-    // w0 stalls every admitted job for 3 s — far beyond the hedge
-    // deadline — while w1 runs undelayed.
-    TestFleet fleet(2, std::move(fopt), {3.0, 0.0});
-    const serve::SubmitRequest req = campaignFor("xsbench");
+    fopt.connectTimeoutSeconds = 0.3;
+    TestFleet fleet(2, std::move(fopt));
+    fleet.workers[0]->stop();
+
+    const serve::SubmitRequest req = campaignFor("xsbench,spmv");
     CancelToken cancel;
     Json attribution;
     const Json doc = fleet.coord->runCampaign(
         1, req, cancel, serve::FleetProgressFn(), &attribution);
 
-    // The single shard lands on w0, goes late, is hedged to w1, and
-    // w1's result wins; the straggling primary is abandoned.
-    const Json shard = shardFor(attribution, "xsbench");
-    EXPECT_EQ(shard.at("worker").asString(), "w1");
-    EXPECT_EQ(shard.at("origin").asString(), "computed");
-    EXPECT_TRUE(shard.at("hedged").asBool());
-    EXPECT_EQ(attribution.at("hedges").asInt(), 1);
-
-    const Json stats = fleet.coord->statsJson();
-    EXPECT_EQ(stats.at("hedges").asInt(), 1);
-    EXPECT_EQ(stats.at("hedge_wins").asInt(), 1);
-    expectLedger(*fleet.coord, 2, 1, 1);
-
-    // A hedged result is still the correct result.
+    // Whatever w0 popped was re-queued away from it, so both shards
+    // settled on w1, and the result is still the direct sweep's.
+    for (const char *wl : {"xsbench", "spmv"})
+        EXPECT_EQ(shardFor(attribution, wl).at("worker").asString(),
+                  "w1");
     const SweepResult res = runEvaluationSweep(req.sopt);
     EXPECT_EQ(doc.at("workloads").toString(0),
               sweepToJson(req.sopt, res).at("workloads").toString(0));
+
+    const Json stats = fleet.coord->statsJson();
+    EXPECT_GE(stats.at("worker_rejections").asInt(), 1);
+    // Connect failures never reach a submitted frame, so only the
+    // two dispatches on w1 enter the ledger.
+    expectLedger(*fleet.coord, 2, 2, 0);
 }
 
 TEST(Fleet, RepeatCampaignHitsTheWorkerCache)
@@ -268,9 +219,7 @@ TEST(Fleet, RepeatCampaignHitsTheWorkerCache)
               "computed");
 
     // Same campaign again: the sole worker already holds the shard,
-    // so the dispatch is a worker-side cache hit (peer fetch never
-    // fires against the worker that is about to serve the shard
-    // anyway — that would just hide the worker's own hit).
+    // so the dispatch is a worker-side cache hit.
     Json attr2;
     const Json doc2 = fleet.coord->runCampaign(
         2, req, cancel, serve::FleetProgressFn(), &attr2);
@@ -279,8 +228,6 @@ TEST(Fleet, RepeatCampaignHitsTheWorkerCache)
     EXPECT_EQ(doc1.at("workloads").toString(0),
               doc2.at("workloads").toString(0));
 
-    const Json stats = fleet.coord->statsJson();
-    EXPECT_EQ(stats.at("peer_fetches").asInt(), 0);
     expectLedger(*fleet.coord, 2, 2, 0);
 }
 

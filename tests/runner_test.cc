@@ -298,13 +298,24 @@ TEST(OptionsDeathTest, UnknownKeyIsFatal)
 
 TEST(OptionsDeathTest, MalformedNumberIsFatal)
 {
-    EXPECT_DEATH(
-        {
-            Options opts("t", "test");
-            opts.add<double>("voltage", 0.625, "v");
-            parseArgs(opts, {"voltage=fast"});
-        },
-        "voltage");
+    // Malformed doubles and bools, and trailing garbage a bare
+    // strtol/strtod would silently accept as a number.
+    for (const char *arg : {"voltage=fast", "voltage=0.625v",
+                            "seed=42abc", "verbose=yep"}) {
+        const std::string key = std::string(arg).substr(
+            0, std::string(arg).find('='));
+        const std::string message = "option '" + key + "' .*expects a";
+        EXPECT_DEATH(
+            {
+                Options opts("t", "test");
+                opts.add<double>("voltage", 0.625, "v");
+                opts.add<std::uint64_t>("seed", 42, "s");
+                opts.add<bool>("verbose", false, "b");
+                parseArgs(opts, {arg});
+            },
+            message)
+            << arg;
+    }
 }
 
 TEST(OptionsDeathTest, OutOfRangeValueIsFatal)
