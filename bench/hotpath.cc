@@ -31,7 +31,6 @@
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
 #include "fault/sweep_engine.hh"
-#include "fault/voltage_model.hh"
 
 using namespace killi;
 
@@ -196,38 +195,32 @@ olscEncode(std::size_t iters)
 MicroResult
 faultMapConstruction(std::size_t numLines)
 {
-    const VoltageModel model;
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(ScenarioSpec{});
     MicroResult r{"faultmap_construction"};
-    // One construction per rep is plenty: a 32768x720 map draws tens
-    // of millions of uniforms on the per-bit path.
-    r.referenceNs = timeNs(
-        [&] {
-            FaultMap map(numLines, 720, model, 42, 1.0,
-                         FaultSampling::PerBit);
-            gSink = gSink ^ (map.countFaults(0, 720));
-        },
-        1, 3);
-    r.optimizedNs = timeNs(
-        [&] {
-            FaultMap map(numLines, 720, model, 42, 1.0,
-                         FaultSampling::Skip);
-            gSink = gSink ^ (map.countFaults(0, 720));
-        },
-        1, 3);
+    const auto build = [&] {
+        const std::unique_ptr<FaultMap> map =
+            model->buildMapAt(numLines, 720, 1.0);
+        gSink = gSink ^ map->countFaults(0, 720);
+    };
+    // The iid sampler reads the flag at each call. One construction
+    // per rep is plenty: a 32768x720 map draws tens of millions of
+    // uniforms on the per-bit reference path.
+    setHotpathReferenceMode(true);
+    r.referenceNs = timeNs(build, 1, 3);
+    setHotpathReferenceMode(false);
+    r.optimizedNs = timeNs(build, 1, 3);
     return r;
 }
 
 /**
- * Fault-map construction for a full 21-point voltage sweep, cold vs
- * incremental. The cold side builds each point's map from scratch —
- * what every per-point consumer (sweep jobs, kserved submissions)
- * did before the sweep engine: sample the population, then filter it
- * at the point voltage. The incremental side is one
- * runVoltageSweep(): a single population, stepped point-to-point by
- * threshold deltas. Both sides read each point's active set so the
- * per-point results are comparable work products, and the stepped
- * sets are bit-identical to the cold ones by the engine's contract
- * (pinned in fault_test, asserted under KILLI_CHECK_INVARIANTS).
+ * Fault-map construction for a full 21-point voltage sweep. The
+ * reference side builds each point's map from scratch — what every
+ * per-point consumer did before the sweep engine: sample the
+ * population, then filter it at the point voltage. The optimized side
+ * is one runVoltageSweep(): sample once + cold activation per point.
+ * Both sides read each point's active set, and the sets are
+ * bit-identical by the engine's contract (pinned in fault_test).
  */
 MicroResult
 sweepFaultMapConstruction(std::size_t numLines)

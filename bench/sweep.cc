@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "analysis/area.hh"
@@ -25,6 +24,9 @@ namespace
 {
 
 constexpr std::size_t kKilliRatios[] = {256, 128, 64, 32, 16};
+
+/** LV-vulnerable bits per L2 line the fault map covers. */
+constexpr std::size_t kLineBits = 720;
 
 /** Static description of one scheme column. */
 struct SchemeSpec
@@ -104,37 +106,24 @@ pointFileStem(const std::string &wlName, const SchemeSpec *scheme)
  * fault map, the protection scheme, the workload instance, the GPU
  * system, the trace sink — is constructed here, inside the job, so
  * concurrent points share nothing mutable (see the gpu_system.hh
- * thread-confinement contract). FaultMap construction is
- * deterministic in (seed, voltage): every point sees the identical
- * die.
+ * thread-confinement contract). The only shared inputs are the
+ * campaign's model and its immutable die, which the point's map
+ * adopts by reference: every point sees the identical die.
  *
  * @param seriesOut receives the point's StatTimeseries as JSON when
  *        opt.statsInterval > 0 (untouched otherwise); may be null.
  */
 RunResult
-runPoint(const SweepOptions &opt, const std::string &wlName,
-         const SchemeSpec *scheme, Json *seriesOut)
+runPoint(const SweepOptions &opt, const FaultModel &model,
+         const std::shared_ptr<const FaultPopulation> &die,
+         const std::string &wlName, const SchemeSpec *scheme,
+         Json *seriesOut)
 {
-    // The scenario is the single source of truth for the fault
-    // population: the model samples the die (deterministic in the
-    // scenario's seed) and activates its first operating point, so
-    // every point sees the identical die. The default iid scenario
-    // reproduces the historical direct construction bit-identically.
-    const std::unique_ptr<FaultModel> model =
-        FaultModel::fromScenario(opt.scenario);
     GpuParams gp;
     gp.statsInterval = opt.statsInterval;
-    std::unique_ptr<FaultMap> faultsPtr;
-    if (opt.warmFaultSource) {
-        // A warm population (another job of the same die already
-        // sampled it) is adopted instead of resampled; buildMapFrom
-        // is bit-identical to buildMap by construction.
-        if (const auto pop = opt.warmFaultSource(
-                *model, gp.l2Geom.numLines(), 720))
-            faultsPtr = model->buildMapFrom(*pop, 720);
-    }
-    if (!faultsPtr)
-        faultsPtr = model->buildMap(gp.l2Geom.numLines(), 720);
+    // Activates the scenario's first operating point.
+    const std::unique_ptr<FaultMap> faultsPtr =
+        model.buildMapFrom(die, kLineBits);
     FaultMap &faults = *faultsPtr;
     const auto wl = makeWorkload(wlName, opt.scale);
 
@@ -233,10 +222,6 @@ declareSweepOptions(Options &opts, const std::string &benchName,
                        "extra attempts before a failed sweep point "
                        "is skipped")
         .range(0u, 10u);
-    opts.add<bool>("share-die", false,
-                   "synthesize the fault population once and adopt "
-                   "it for every sweep point (bit-identical to "
-                   "per-point sampling; see EXPERIMENTS.md)");
     opts.add("json", "results/" + benchName + ".json",
              "machine-readable results path (empty string disables)");
     opts.add("trace", "",
@@ -280,7 +265,6 @@ sweepOptions(const Options &opts)
     opt.seed = opt.scenario.seed;
     opt.jobs = opts.get<unsigned>("jobs");
     opt.retries = opts.get<unsigned>("retries");
-    opt.shareDie = opts.get<bool>("share-die");
     opt.jsonPath = opts.get<std::string>("json");
     opt.workloads = splitList(opts.get<std::string>("workloads"));
     if (opt.workloads.empty())
@@ -312,46 +296,21 @@ sweepSchemeNames()
 }
 
 SweepResult
-runEvaluationSweep(const SweepOptions &optIn)
+runEvaluationSweep(const SweepOptions &opt)
 {
-    // Campaign-local copy so a share-die campaign can install its
-    // single-flight population source without mutating the caller's
-    // options.
-    SweepOptions opt = optIn;
-    if (opt.shareDie && !opt.warmFaultSource) {
-        // Every point of this campaign instantiates the same
-        // scenario on the same geometry, so their die populations
-        // are identical by construction: sample once (first caller,
-        // under the lock) and adopt everywhere else. Bit-identity of
-        // adoption vs sampling is FaultModel::buildMapFrom()'s
-        // contract, pinned in fault_test and CI's perf-smoke diff.
-        struct SharedDie
-        {
-            std::mutex mtx;
-            std::size_t numLines = 0;
-            std::size_t lineBits = 0;
-            std::shared_ptr<const std::vector<std::vector<FaultCell>>>
-                pop;
-        };
-        auto shared = std::make_shared<SharedDie>();
-        opt.warmFaultSource =
-            [shared](const FaultModel &model, std::size_t numLines,
-                     std::size_t lineBits)
-            -> std::shared_ptr<
-                const std::vector<std::vector<FaultCell>>> {
-            std::lock_guard<std::mutex> lock(shared->mtx);
-            if (!shared->pop) {
-                shared->numLines = numLines;
-                shared->lineBits = lineBits;
-                shared->pop = std::make_shared<
-                    const std::vector<std::vector<FaultCell>>>(
-                    model.buildMap(numLines, lineBits)->population());
-            }
-            if (numLines != shared->numLines ||
-                lineBits != shared->lineBits)
-                return nullptr; // geometry mismatch: sample cold
-            return shared->pop;
-        };
+    // Every point of the campaign instantiates the same scenario on
+    // the same geometry, so they all share one die: taken here, once,
+    // on the calling thread (a recording made around this call then
+    // captures the sampler's draws), and adopted by reference below.
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(opt.scenario);
+    const std::size_t numLines = GpuParams{}.l2Geom.numLines();
+    std::shared_ptr<const FaultPopulation> die;
+    if (opt.warmFaultSource)
+        die = opt.warmFaultSource(*model, numLines, kLineBits);
+    if (!die) {
+        die = std::make_shared<const FaultPopulation>(
+            model->samplePopulation(numLines, kLineBits));
     }
 
     // Resolve the scheme columns (validated against the subset knob).
@@ -395,10 +354,11 @@ runEvaluationSweep(const SweepOptions &optIn)
                                 ->memoryBound();
         sweep.schemes.resize(specs.size());
 
-        jobs.push_back({wlName + "/baseline", [&opt, &sweep, wlName] {
-                            sweep.baseline =
-                                runPoint(opt, wlName, nullptr,
-                                         &sweep.baselineTimeseries);
+        jobs.push_back({wlName + "/baseline",
+                        [&opt, &model, &die, &sweep, wlName] {
+                            sweep.baseline = runPoint(
+                                opt, *model, die, wlName, nullptr,
+                                &sweep.baselineTimeseries);
                             sweep.baselineOk = true;
                         }});
         for (std::size_t si = 0; si < specs.size(); ++si) {
@@ -409,9 +369,9 @@ runEvaluationSweep(const SweepOptions &optIn)
             slot.powerKey = spec.powerKey;
             jobs.push_back(
                 {wlName + "/" + spec.name,
-                 [&opt, &slot, &spec, wlName] {
-                     slot.result = runPoint(opt, wlName, &spec,
-                                            &slot.timeseries);
+                 [&opt, &model, &die, &slot, &spec, wlName] {
+                     slot.result = runPoint(opt, *model, die, wlName,
+                                            &spec, &slot.timeseries);
                      slot.ok = true;
                  }});
         }

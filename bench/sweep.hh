@@ -7,8 +7,9 @@
  *
  * The sweep executes on the killi::ExperimentRunner: every point
  * (workload × scheme) is an independent job with its own GpuSystem,
- * FaultMap, and workload instance, so `jobs=N` runs N points
- * concurrently while producing tables bit-identical to `jobs=1`.
+ * FaultMap (adopting the campaign's one sampled die), and workload
+ * instance, so `jobs=N` runs N points concurrently while producing
+ * tables bit-identical to `jobs=1`.
  * A point that keeps failing after its retries is skipped (ok=false
  * in its SchemeRun) instead of aborting the campaign.
  *
@@ -94,18 +95,6 @@ struct SweepOptions
     /** Path of the combined stat-timeseries JSON, written when
      *  statsInterval > 0; empty disables. */
     std::string timeseriesPath;
-    /**
-     * Synthesize the die population once and adopt it for every
-     * sweep point (all points of one campaign share scenario and
-     * geometry, so their populations are identical by construction).
-     * Results are bit-identical to per-point sampling — CI's
-     * perf-smoke diffs the two via extract_sweep_results.py. Ignored
-     * when an embedder already installed warmFaultSource, and
-     * stripped by record/replay sessions for the same RNG-stream
-     * reason warmFaultSource is.
-     */
-    bool shareDie = false;
-
     // -- Not CLI knobs; set programmatically by embedders (kserved).
 
     /**
@@ -121,17 +110,17 @@ struct SweepOptions
     const CancelToken *cancel = nullptr;
     /**
      * Warm fault-population source (the kserved warm store). When
-     * set, each sweep point offers its (model, geometry) here before
-     * sampling; a non-null return is adopted through
-     * FaultModel::buildMapFrom() — bit-identical to cold sampling by
-     * construction — and a null return falls back to sampling.
-     * Called from worker threads, possibly concurrently, so it must
-     * be thread-safe. Record/replay sessions must never set this:
-     * adopting a population skips the sampler's RNG draws, which a
-     * recording captures (kserved installs it for plain jobs only).
+     * set, the campaign offers its (model, geometry) here once,
+     * before dispatching any point, on the calling thread; a
+     * non-null return is the die every point adopts by reference
+     * (bit-identical to sampling it, by construction), and a null
+     * return falls back to sampling. Concurrent campaigns may share
+     * one source, so it must be thread-safe. Record/replay sessions
+     * must never set this: adopting a population skips the sampler's
+     * RNG draws, which a recording captures (kserved installs it for
+     * plain jobs only).
      */
-    std::function<std::shared_ptr<
-        const std::vector<std::vector<FaultCell>>>(
+    std::function<std::shared_ptr<const FaultPopulation>(
         const FaultModel &model, std::size_t numLines,
         std::size_t lineBits)>
         warmFaultSource;

@@ -3,14 +3,15 @@
  * Bench/test-only switch between the optimized hot paths and the
  * reference implementations they replaced.
  *
- * The codecs (bit-sliced encode/decode), and the fault map
+ * The codecs (bit-sliced encode/decode) and the iid fault sampler
  * (geometric skip sampling) keep their original implementations as
- * `*Reference` entry points so differential tests can pin the two
- * paths against each other, and so `bench/hotpath` can measure the
- * end-to-end speedup honestly by running a whole sweep point down
- * the old path. Objects sample this flag at *construction*, so flip
- * it before building the system under measurement. Production code
- * never sets it; the default is always the optimized path.
+ * reference paths so differential tests can pin the two against each
+ * other, and so `bench/hotpath` can measure the end-to-end speedup
+ * honestly by running a whole sweep point down the old path. Objects
+ * sample this flag at *construction* (the sampler, when it samples a
+ * die), so flip it before building the system under measurement.
+ * Production code never sets it; the default is always the optimized
+ * path.
  */
 
 #ifndef KILLI_COMMON_HOTPATH_HH

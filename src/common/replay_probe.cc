@@ -3,7 +3,7 @@
 namespace killi::detail
 {
 
-thread_local ReplayProbe *tlsReplayProbe = nullptr;
-thread_local const char *tlsRngStream = "?";
+constinit thread_local ReplayProbe *tlsReplayProbe = nullptr;
+constinit thread_local const char *tlsRngStream = "?";
 
 } // namespace killi::detail

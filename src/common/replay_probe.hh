@@ -61,8 +61,12 @@ class ReplayProbe
 
 namespace detail
 {
-extern thread_local ReplayProbe *tlsReplayProbe;
-extern thread_local const char *tlsRngStream;
+// constinit: both are constant-initialized, so accesses from other
+// translation units skip the dynamic-TLS-init wrapper. Without it,
+// UBSan reported a store through a null pointer in RngStreamScope on
+// sweep worker threads.
+extern constinit thread_local ReplayProbe *tlsReplayProbe;
+extern constinit thread_local const char *tlsRngStream;
 } // namespace detail
 
 /** The probe installed on this thread (nullptr when none). */

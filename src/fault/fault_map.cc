@@ -1,180 +1,22 @@
 #include "fault/fault_map.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
 
 namespace killi
 {
 
-namespace
-{
-
-/**
- * Exact inverse-CDF sampler for Geometric(p) gaps (number of clean
- * cells before the next faulty one).
- *
- * The closed form floor(log1p(-u)/log1p(-p)) costs a transcendental
- * per draw, which dominates fault-map construction when p is large
- * (mean gap 1/p is short, so gaps are drawn constantly). Instead the
- * first K gap values get an explicit CDF table, searched from a
- * 256-bucket direct index on the top bits of u and finished with the
- * exact boundary compares — bit-identical to inverse-CDF sampling,
- * no approximation. The tail (u past the table, probability (1-p)^K)
- * falls back to the closed form; for sparse maps that is the common
- * case, but then gaps outrun the line and only ~one draw per line
- * happens at all.
- */
-class GeometricSampler
-{
-  public:
-    explicit GeometricSampler(double p)
-        : logq(std::log1p(-p))
-    {
-        double qpow = 1.0; // (1-p)^g
-        for (std::size_t g = 0; g < K; ++g) {
-            qpow *= 1.0 - p;
-            cdf[g] = 1.0 - qpow; // P(gap <= g)
-        }
-        for (std::size_t b = 0; b < 256; ++b) {
-            const double lo = double(b) / 256.0;
-            std::size_t g = 0;
-            while (g + 1 < K && cdf[g] <= lo)
-                ++g;
-            startAt[b] = static_cast<std::uint8_t>(g);
-        }
-    }
-
-    /** Draw a gap, clamped to @p remaining. */
-    std::size_t
-    draw(Rng &rng, std::size_t remaining) const
-    {
-        const double u = rng.uniform();
-        if (u < cdf[K - 1]) {
-            std::size_t g = startAt[std::size_t(u * 256.0)];
-            while (u >= cdf[g])
-                ++g;
-            return g < remaining ? g : remaining;
-        }
-        const double g = std::floor(std::log1p(-u) / logq);
-        return g < double(remaining) ? std::size_t(g) : remaining;
-    }
-
-  private:
-    static constexpr std::size_t K = 64;
-    double cdf[K];
-    std::uint8_t startAt[256];
-    double logq;
-};
-
-} // namespace
-
-FaultMap::FaultMap(std::size_t num_lines, std::size_t line_bits,
-                   const VoltageModel &model, std::uint64_t seed,
-                   double freq_ghz)
-    : FaultMap(num_lines, line_bits, model, seed, freq_ghz,
-               hotpathReferenceMode() ? FaultSampling::PerBit
-                                      : FaultSampling::Skip)
-{
-}
-
-FaultMap::FaultMap(std::size_t num_lines, std::size_t line_bits,
-                   const VoltageModel &model, std::uint64_t seed,
-                   double freq_ghz, FaultSampling sampling)
-    : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model)
-{
-    if (line_bits > 0xFFFF)
-        fatal("FaultMap: line width %zu exceeds 16-bit positions",
-              line_bits);
-
-    // Sample the potential-fault population at the lowest supported
-    // voltage: every cell that could ever fail in the model's range.
-    const double pMax =
-        model.pCell(VoltageModel::minVoltage(), freq_ghz);
-    const double pReadShare = 0.45;
-
-    const RngStreamScope stream("faultmap");
-    Rng rng(seed);
-    lines.resize(num_lines);
-    if (sampling == FaultSampling::PerBit || pMax >= 1.0) {
-        // Reference sampler (also the degenerate everything-fails
-        // case): one uniform draw per cell, faulty iff u < pMax with
-        // the draw itself as the conditional threshold.
-        for (auto &line : lines) {
-            for (std::size_t bit = 0; bit < line_bits; ++bit) {
-                const double u = rng.uniform();
-                if (u >= pMax)
-                    continue;
-                FaultCell cell;
-                cell.bit = static_cast<std::uint16_t>(bit);
-                cell.threshold = static_cast<float>(u);
-                cell.stuckValue = rng.bernoulli(0.5);
-                cell.kind = rng.bernoulli(pReadShare)
-                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
-                line.push_back(cell);
-            }
-        }
-    } else if (pMax > 0.0) {
-        // Geometric skip sampling: the gap to the next faulty cell
-        // in an iid Bernoulli(pMax) sequence is Geometric(pMax), so
-        // skip whole runs of clean cells and pay one RNG draw per
-        // *fault* (plus one per line to detect "no more"), not one
-        // per bit. Memorylessness makes the per-line truncation
-        // exact: restarting the gap at each line boundary leaves
-        // every cell marginally Bernoulli(pMax). The faulty cell's
-        // threshold is then conditionally uniform in [0, pMax),
-        // matching the reference sampler's u | u<pMax; threshold,
-        // stuck value and fault kind all come from disjoint bits of
-        // one 64-bit draw (43 + 1 + 20 — the threshold is stored as
-        // a float anyway, and 2^-20 granularity on the kind share is
-        // far below any measurable effect). Lines are staged in one
-        // reusable scratch buffer so each line's backing store is a
-        // single exact-sized allocation instead of a growth chain.
-        const GeometricSampler geo(pMax);
-        const std::uint32_t kindCut =
-            static_cast<std::uint32_t>(pReadShare * 1048576.0);
-        std::vector<FaultCell> scratch;
-        scratch.reserve(line_bits);
-        for (auto &line : lines) {
-            scratch.clear();
-            std::size_t bit = 0;
-            while (bit < line_bits) {
-                const std::size_t gap =
-                    geo.draw(rng, line_bits - bit);
-                bit += gap;
-                if (bit >= line_bits)
-                    break;
-                const std::uint64_t r = rng.next64();
-                FaultCell cell;
-                cell.bit = static_cast<std::uint16_t>(bit);
-                cell.threshold = static_cast<float>(
-                    (r >> 21) * 0x1.0p-43 * pMax);
-                cell.stuckValue = (r & 1) != 0;
-                cell.kind = ((r >> 1) & 0xFFFFF) < kindCut
-                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
-                scratch.push_back(cell);
-                ++bit;
-            }
-            line.assign(scratch.begin(), scratch.end());
-        }
-    }
-    active.resize(num_lines);
-    transientFlips.resize(num_lines);
-    setVoltage(1.0);
-}
-
-FaultMap::FaultMap(std::vector<std::vector<FaultCell>> population,
+FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
                    std::size_t line_bits, const VoltageModel &model,
                    double freq_ghz)
     : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model),
-      lines(std::move(population))
+      die(std::move(population))
 {
     if (line_bits > 0xFFFF)
         fatal("FaultMap: line width %zu exceeds 16-bit positions",
               line_bits);
+    const FaultPopulation &lines = *die;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::vector<FaultCell> &cells = lines[i];
         for (std::size_t j = 0; j < cells.size(); ++j) {
@@ -197,7 +39,7 @@ FaultMap::setVoltage(double vNorm)
     // A bit-exact re-set of the current operating point is an
     // idempotent no-op, not a rejected "raise": warm-store hits and
     // replayed jobs legitimately re-apply the point voltage. Gated
-    // on voltageApplied because the constructors call
+    // on voltageApplied because the constructor calls
     // setVoltage(1.0) with currentV pre-initialized to 1.0 and that
     // first call must still activate.
     if (voltageApplied && vNorm == currentV)
@@ -206,32 +48,15 @@ FaultMap::setVoltage(double vNorm)
         fatal("FaultMap::setVoltage: raising %.4g -> %.4g violates "
               "the declared monotone voltage regime (only droop-"
               "scheduled models may raise V)", currentV, vNorm);
-    const bool lowering = vNorm < currentV;
     currentV = vNorm;
-    const double p = vModel->pCell(vNorm, freqGHz);
-    if (incremental && monotoneDeclared && indexValid &&
-        voltageApplied && lowering) {
-        // Monotone step down: pCell only grows, so the active sets
-        // only gain cells — exactly the index entries with threshold
-        // in [pCell(V1), pCell(V2)), which the cursor walks over.
-        activateDelta(p);
-#ifdef KILLI_CHECK_INVARIANTS
-        checkDeltaMatchesCold(p);
-#endif
-    } else {
-        coldActivate(p);
-        if (incremental) {
-            if (!indexValid)
-                rebuildIndex();
-            resetCursor(p);
-        }
-    }
+    coldActivate(vModel->pCell(vNorm, freqGHz));
     voltageApplied = true;
 }
 
 void
 FaultMap::coldActivate(double p)
 {
+    const FaultPopulation &lines = *die;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::vector<FaultCell> &src = lines[i];
         std::vector<FaultCell> &dst = active[i];
@@ -250,189 +75,6 @@ FaultMap::coldActivate(double p)
         }
     }
 }
-
-bool
-FaultMap::enableIncrementalVoltage()
-{
-    if (!monotoneDeclared)
-        return false; // the regime may raise V: deltas can't apply
-    if (incremental)
-        return true;
-    incremental = true;
-    rebuildIndex();
-    resetCursor(vModel->pCell(currentV, freqGHz));
-    return true;
-}
-
-void
-FaultMap::rebuildIndex()
-{
-    thresholdIndex.clear();
-    std::size_t total = 0;
-    for (const std::vector<FaultCell> &line : lines)
-        total += line.size();
-    thresholdIndex.reserve(total);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        for (std::size_t j = 0; j < lines[i].size(); ++j) {
-            thresholdIndex.push_back(
-                {lines[i][j].threshold, static_cast<std::uint32_t>(i),
-                 static_cast<std::uint32_t>(j)});
-        }
-    }
-    // LSD counting sort on the threshold's bit pattern: two stable
-    // 16-bit passes, near-linear in population size (a comparator
-    // sort here dominated sweep setup on million-cell populations).
-    // The sign-flip transform maps IEEE float ordering onto unsigned
-    // ordering (covers plantFault's -1.0f sentinel), and stability
-    // over the fill order supplies the deterministic (line, cell)
-    // tie-break — the walk order cannot affect the result anyway
-    // (each line's insertions land at by-bit positions regardless of
-    // arrival order).
-    const auto key32 = [](float t) {
-        std::uint32_t b;
-        std::memcpy(&b, &t, sizeof b);
-        return b ^ ((b & 0x80000000u) != 0 ? 0xFFFFFFFFu
-                                           : 0x80000000u);
-    };
-    std::vector<ThresholdRef> tmp(total);
-    std::vector<std::size_t> count(65536);
-    for (const int shift : {0, 16}) {
-        std::fill(count.begin(), count.end(), std::size_t{0});
-        for (const ThresholdRef &ref : thresholdIndex)
-            ++count[(key32(ref.threshold) >> shift) & 0xFFFF];
-        std::size_t running = 0;
-        for (std::size_t &c : count) {
-            const std::size_t n = c;
-            c = running;
-            running += n;
-        }
-        for (const ThresholdRef &ref : thresholdIndex)
-            tmp[count[(key32(ref.threshold) >> shift) & 0xFFFF]++] =
-                ref;
-        thresholdIndex.swap(tmp);
-    }
-    indexValid = true;
-}
-
-void
-FaultMap::resetCursor(double p)
-{
-    // First entry with double(threshold) >= p: the same promoted
-    // comparison the cold filter uses, so a cell sitting exactly at
-    // the boundary lands on the same side either way.
-    cursor = static_cast<std::size_t>(
-        std::lower_bound(thresholdIndex.begin(), thresholdIndex.end(),
-                         p,
-                         [](const ThresholdRef &r, double pv) {
-                             return double(r.threshold) < pv;
-                         }) -
-        thresholdIndex.begin());
-}
-
-void
-FaultMap::activateDelta(double p)
-{
-    // Everything in [cursor, end) crosses at this step (same
-    // promoted comparison as resetCursor / the cold filter).
-    const auto end = static_cast<std::size_t>(
-        std::lower_bound(thresholdIndex.begin() +
-                             static_cast<std::ptrdiff_t>(cursor),
-                         thresholdIndex.end(), p,
-                         [](const ThresholdRef &r, double pv) {
-                             return double(r.threshold) < pv;
-                         }) -
-        thresholdIndex.begin());
-    if (end == cursor)
-        return;
-    // The slice is threshold-ordered, i.e.\ scattered across lines.
-    // Regroup it by (line, cell) so each touched line is visited
-    // once and its crossings land in one backward merge instead of
-    // a lower_bound + memmove per cell — the per-cell form's random
-    // line accesses dominated incremental stepping. Within a line,
-    // ascending cell index is ascending bit (population sort
-    // invariant), so the merge output stays bit-sorted; a bit cannot
-    // appear on both sides (each population cell activates once).
-    // Stable counting-bucket by line — no comparisons, two linear
-    // passes over the slice.
-    deltaScratch.resize(end - cursor);
-    deltaOffsets.assign(lines.size(), 0);
-    for (std::size_t i = cursor; i < end; ++i)
-        ++deltaOffsets[thresholdIndex[i].line];
-    std::size_t running = 0;
-    for (std::uint32_t &c : deltaOffsets) {
-        const std::uint32_t n = c;
-        c = static_cast<std::uint32_t>(running);
-        running += n;
-    }
-    for (std::size_t i = cursor; i < end; ++i)
-        deltaScratch[deltaOffsets[thresholdIndex[i].line]++] =
-            thresholdIndex[i];
-    cursor = end;
-    std::size_t g = 0;
-    while (g < deltaScratch.size()) {
-        const std::uint32_t lineNo = deltaScratch[g].line;
-        std::size_t gEnd = g;
-        while (gEnd < deltaScratch.size() &&
-               deltaScratch[gEnd].line == lineNo)
-            ++gEnd;
-        // The bucket kept threshold order; restore ascending cell
-        // index (== ascending bit) with an insertion sort — groups
-        // are a handful of cells.
-        for (std::size_t a = g + 1; a < gEnd; ++a) {
-            const ThresholdRef ref = deltaScratch[a];
-            std::size_t b = a;
-            while (b > g && deltaScratch[b - 1].cell > ref.cell) {
-                deltaScratch[b] = deltaScratch[b - 1];
-                --b;
-            }
-            deltaScratch[b] = ref;
-        }
-        std::vector<FaultCell> &dst = active[lineNo];
-        const std::size_t m = dst.size();
-        dst.resize(m + (gEnd - g));
-        std::size_t i = m;          // old cells left (from the back)
-        std::size_t j = gEnd;       // new cells left (from the back)
-        std::size_t w = dst.size(); // next write slot (exclusive)
-        while (j > g) {
-            const FaultCell &cell =
-                lines[lineNo][deltaScratch[j - 1].cell];
-            if (i > 0 && dst[i - 1].bit > cell.bit) {
-                --i;
-                --w;
-                dst[w] = dst[i];
-            } else {
-                --j;
-                --w;
-                dst[w] = cell;
-            }
-        }
-        g = gEnd;
-    }
-}
-
-#ifdef KILLI_CHECK_INVARIANTS
-void
-FaultMap::checkDeltaMatchesCold(double p) const
-{
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        std::vector<FaultCell> cold;
-        for (const FaultCell &cell : lines[i])
-            if (cell.threshold < p)
-                cold.push_back(cell);
-        const std::vector<FaultCell> &got = active[i];
-        bool same = got.size() == cold.size();
-        for (std::size_t j = 0; same && j < cold.size(); ++j) {
-            same = got[j].bit == cold[j].bit &&
-                   got[j].threshold == cold[j].threshold &&
-                   got[j].stuckValue == cold[j].stuckValue &&
-                   got[j].kind == cold[j].kind;
-        }
-        if (!same)
-            fatal("FaultMap: incremental voltage step diverged from "
-                  "cold sampling at line %zu (V=%.6g)", i, currentV);
-    }
-}
-#endif
 
 unsigned
 FaultMap::countFaults(std::size_t line, std::size_t prefix_bits) const
@@ -561,9 +203,15 @@ void
 FaultMap::plantFault(std::size_t line, std::uint16_t bit,
                      bool stuck_value, FaultKind kind)
 {
-    if (line >= lines.size() || bit >= bitsPerLine)
+    if (line >= die->size() || bit >= bitsPerLine)
         fatal("FaultMap::plantFault: out of range (%zu, %u)", line,
               bit);
+    if (!ownDie) {
+        // Copy on first write: other maps may share the die.
+        ownDie = std::make_shared<FaultPopulation>(*die);
+        die = ownDie;
+    }
+    FaultPopulation &lines = *ownDie;
     // Replace any sampled potential fault at this position so the
     // planted cell fully defines the bit's behaviour.
     const auto drop = [bit](std::vector<FaultCell> &cells) {
@@ -589,17 +237,13 @@ FaultMap::plantFault(std::size_t line, std::uint16_t bit,
     };
     insertSorted(lines[line]);
     insertSorted(active[line]);
-    // The population changed shape: any incremental-stepping index
-    // now holds stale (line, cell) references. Rebuild lazily on the
-    // next voltage step.
-    indexValid = false;
 }
 
 FaultMap::LineHistogram
 FaultMap::histogram(std::size_t prefix_bits) const
 {
     LineHistogram hist;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t i = 0; i < active.size(); ++i) {
         const unsigned n = countFaults(i, prefix_bits);
         if (n == 0)
             ++hist.zero;

@@ -23,6 +23,7 @@
 #define KILLI_FAULT_FAULT_MAP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -41,66 +42,39 @@ struct FaultCell
     FaultKind kind;       //!< failing mechanism (for statistics)
 };
 
-/** How the constructor samples the potential-fault population. */
-enum class FaultSampling
-{
-    /** Geometric skip sampling: one draw per *fault*, not per bit. */
-    Skip,
-    /** One uniform draw per bit — the original reference
-     *  implementation, kept for distribution-equivalence tests and
-     *  the hotpath bench (see common/hotpath.hh). */
-    PerBit,
-};
+/** A sampled die: the potential-fault cells of every line, each
+ *  line sorted strictly ascending by bit (FaultModel samples these;
+ *  any number of FaultMaps adopt one by reference). */
+using FaultPopulation = std::vector<std::vector<FaultCell>>;
 
 /**
  * Fault map for an array of lines (e.g.\ the 32768 64-byte lines of
- * the 2MB L2). Construction samples the potential-fault population
- * once, at the lowest supported voltage; setVoltage() then activates
- * the subset for the current operating point.
+ * the 2MB L2). The map adopts an immutable, already-sampled die (the
+ * potential-fault population at the lowest supported voltage, see
+ * FaultModel::samplePopulation()) and owns only its own per-voltage
+ * state: setVoltage() filters the die down to the active subset for
+ * the current operating point. Any number of maps may share one die.
  */
 class FaultMap
 {
   public:
     /**
-     * Direct iid construction.
+     * Adopt @p population by reference. Each line's cells must be
+     * sorted strictly ascending by bit with positions inside
+     * [0, line_bits); violations are fatal(). The map starts at
+     * 1.0 x VDD.
      *
-     * @deprecated New code should build maps through
-     * FaultModel::fromScenario() (fault_model.hh), which covers the
-     * correlated scenario classes too; these constructors remain as
-     * the iid model's sampling shim (IidStuckAt delegates here, and
-     * tests/scenario_spec_test.cc pins the bit-identity).
-     *
-     * @param num_lines number of physical lines in the array
      * @param line_bits LV-vulnerable bits per line (data + any
      *                  co-located metadata such as stored parity or
      *                  per-line checkbits)
      * @param model voltage model to draw probabilities from
-     * @param seed RNG seed (fault maps are die-specific)
      * @param freq_ghz operating frequency for the whole run
-     * @param sampling population sampler; defaults to geometric
-     *                 skip sampling, which costs O(faults) draws
-     *                 per line instead of O(line_bits). When unset,
-     *                 construction follows hotpathReferenceMode().
      */
-    FaultMap(std::size_t num_lines, std::size_t line_bits,
-             const VoltageModel &model, std::uint64_t seed,
-             double freq_ghz = 1.0);
-    FaultMap(std::size_t num_lines, std::size_t line_bits,
-             const VoltageModel &model, std::uint64_t seed,
-             double freq_ghz, FaultSampling sampling);
-
-    /**
-     * Adopt an externally sampled potential-fault population (the
-     * correlated FaultModel classes build these). Each line's cells
-     * must be sorted strictly ascending by bit with positions inside
-     * [0, line_bits); violations are fatal(). The map starts at
-     * 1.0 x VDD like the sampling constructors.
-     */
-    FaultMap(std::vector<std::vector<FaultCell>> population,
+    FaultMap(std::shared_ptr<const FaultPopulation> population,
              std::size_t line_bits, const VoltageModel &model,
              double freq_ghz = 1.0);
 
-    std::size_t numLines() const { return lines.size(); }
+    std::size_t numLines() const { return die->size(); }
     std::size_t lineBits() const { return bitsPerLine; }
     double voltage() const { return currentV; }
     double frequency() const { return freqGHz; }
@@ -120,40 +94,18 @@ class FaultMap
      * down after construction, and a raise is a caller bug —
      * setVoltage() rejects it once monotonicity is declared. Models
      * with a droop schedule (FaultModel::monotoneVoltage() == false)
-     * leave it undeclared so raising V is legal. Direct-constructed
-     * maps default to undeclared for compatibility.
+     * leave it undeclared so raising V is legal, as does a map
+     * constructed directly.
      */
     void declareMonotoneVoltage(bool monotone)
     {
         monotoneDeclared = monotone;
     }
 
-    /**
-     * Opt into incremental voltage stepping: subsequent monotone
-     * setVoltage() lowerings derive the active sets as a delta from
-     * the previous operating point — only the cells whose threshold
-     * crosses between pCell(V1) and pCell(V2) are touched — instead
-     * of re-filtering every line, turning a multi-point sweep from
-     * O(points x lines) into O(lines + faults-delta). The stepped
-     * active sets are bit-identical to cold filtering at every point
-     * (asserted under KILLI_CHECK_INVARIANTS, pinned in fault_test).
-     *
-     * Returns true when enabled. Maps without a declared monotone
-     * regime (droop schedules may raise V) refuse and return false;
-     * the caller must keep cold-activating per point.
-     */
-    bool enableIncrementalVoltage();
-
-    /** Is incremental voltage stepping enabled? */
-    bool incrementalVoltage() const { return incremental; }
-
-    /** The potential-fault population (per line, sorted by bit).
-     *  Exposed so embedders can clone a map without resampling —
-     *  see FaultModel::buildMapFrom() and the kserved warm store. */
-    const std::vector<std::vector<FaultCell>> &population() const
-    {
-        return lines;
-    }
+    /** The adopted die (per line, sorted by bit). Maps built from
+     *  one die return the same object until one of them plants a
+     *  fault (see plantFault()). */
+    const FaultPopulation &population() const { return *die; }
 
     /** Active faulty cells of @p line at the current voltage. */
     const std::vector<FaultCell> &lineFaults(std::size_t line) const
@@ -202,8 +154,9 @@ class FaultMap
 
     /**
      * Plant a persistent fault active at every voltage (tests and
-     * demos that need a deterministic fault layout). Duplicate
-     * positions are rejected.
+     * demos that need a deterministic fault layout). A planted cell
+     * replaces any sampled one at the same position. The first plant
+     * copies the die, so maps sharing it never see the change.
      */
     void plantFault(std::size_t line, std::uint16_t bit,
                     bool stuck_value,
@@ -242,62 +195,28 @@ class FaultMap
      *  over the sorted active set. */
     bool isStuck(std::size_t line, std::uint16_t bit) const;
 
-    /** One potential-fault cell in threshold order — the incremental
-     *  stepping index. `cell` indexes into lines[line], which is
-     *  stable except across plantFault() (which invalidates the
-     *  index for a lazy rebuild). */
-    struct ThresholdRef
-    {
-        float threshold;
-        std::uint32_t line;
-        std::uint32_t cell;
-    };
-
-    /** Re-filter every line's active set against @p p (the
-     *  original, always-correct activation path). */
+    /** Re-filter every line's active set against @p p. */
     void coldActivate(double p);
-    /** Rebuild thresholdIndex from lines (sorted by threshold with a
-     *  deterministic (line, cell) tie-break; counting sort on the
-     *  float bit pattern, near-linear in population size). */
-    void rebuildIndex();
-    /** Position cursor at the first index entry with threshold >= p,
-     *  i.e.\ the first cell NOT active at the current point. */
-    void resetCursor(double p);
-    /** Advance cursor over every cell crossing at @p p, merging each
-     *  touched line's crossings into its active set in one backward
-     *  by-bit merge (the slice is regrouped by line first). */
-    void activateDelta(double p);
-#ifdef KILLI_CHECK_INVARIANTS
-    /** fatal() unless the delta-derived active sets are bit-identical
-     *  to a cold re-filter at @p p. */
-    void checkDeltaMatchesCold(double p) const;
-#endif
 
     std::size_t bitsPerLine;
     double freqGHz;
     double currentV = 1.0;
     bool monotoneDeclared = false;
-    /** setVoltage() has run at least once (the constructors apply
+    /** setVoltage() has run at least once (the constructor applies
      *  1.0 x VDD with currentV pre-initialized to 1.0, so equality
      *  against currentV alone cannot detect the first activation). */
     bool voltageApplied = false;
-    bool incremental = false;
-    /** thresholdIndex/cursor agree with lines (plantFault clears). */
-    bool indexValid = false;
-    std::size_t cursor = 0;
-    std::vector<ThresholdRef> thresholdIndex;
-    /** Reused per-step staging buffers for activateDelta()'s
-     *  regroup-by-line pass (avoid allocations per sweep point). */
-    std::vector<ThresholdRef> deltaScratch;
-    std::vector<std::uint32_t> deltaOffsets;
     const VoltageModel *vModel;
 
     /** Potential faults per line, sorted ascending by bit (the
-     *  constructor emits them in order, plantFault inserts in
-     *  order, and setVoltage's filter preserves order). */
-    std::vector<std::vector<FaultCell>> lines;
+     *  samplers emit them in order, plantFault inserts in order, and
+     *  setVoltage's filter preserves order). */
+    std::shared_ptr<const FaultPopulation> die;
+    /** The same object as die once plantFault() has made this map a
+     *  private, mutable copy; null while the die may be shared. */
+    std::shared_ptr<FaultPopulation> ownDie;
     /** Active subset per line at currentV (same sort invariant). */
-    std::vector<std::vector<FaultCell>> active;
+    FaultPopulation active;
     /** Live soft-error flips per line (cleared on rewrite). */
     std::vector<std::vector<std::uint16_t>> transientFlips;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hotpath.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 
@@ -12,9 +13,65 @@ namespace killi
 namespace
 {
 
-/** Read-disturb share of iid-sampled faults; matches the legacy
- *  FaultMap constructor so mechanism statistics line up. */
+/** Read-disturb share of sampled background faults. */
 constexpr double kReadShare = 0.45;
+
+/**
+ * Exact inverse-CDF sampler for Geometric(p) gaps (number of clean
+ * cells before the next faulty one).
+ *
+ * The closed form floor(log1p(-u)/log1p(-p)) costs a transcendental
+ * per draw, which dominates fault-map construction when p is large
+ * (mean gap 1/p is short, so gaps are drawn constantly). Instead the
+ * first K gap values get an explicit CDF table, searched from a
+ * 256-bucket direct index on the top bits of u and finished with the
+ * exact boundary compares — bit-identical to inverse-CDF sampling,
+ * no approximation. The tail (u past the table, probability (1-p)^K)
+ * falls back to the closed form; for sparse maps that is the common
+ * case, but then gaps outrun the line and only ~one draw per line
+ * happens at all.
+ */
+class GeometricSampler
+{
+  public:
+    explicit GeometricSampler(double p)
+        : logq(std::log1p(-p))
+    {
+        double qpow = 1.0; // (1-p)^g
+        for (std::size_t g = 0; g < K; ++g) {
+            qpow *= 1.0 - p;
+            cdf[g] = 1.0 - qpow; // P(gap <= g)
+        }
+        for (std::size_t b = 0; b < 256; ++b) {
+            const double lo = double(b) / 256.0;
+            std::size_t g = 0;
+            while (g + 1 < K && cdf[g] <= lo)
+                ++g;
+            startAt[b] = static_cast<std::uint8_t>(g);
+        }
+    }
+
+    /** Draw a gap, clamped to @p remaining. */
+    std::size_t
+    draw(Rng &rng, std::size_t remaining) const
+    {
+        const double u = rng.uniform();
+        if (u < cdf[K - 1]) {
+            std::size_t g = startAt[std::size_t(u * 256.0)];
+            while (u >= cdf[g])
+                ++g;
+            return g < remaining ? g : remaining;
+        }
+        const double g = std::floor(std::log1p(-u) / logq);
+        return g < double(remaining) ? std::size_t(g) : remaining;
+    }
+
+  private:
+    static constexpr std::size_t K = 64;
+    double cdf[K];
+    std::uint8_t startAt[256];
+    double logq;
+};
 
 /**
  * Restore FaultMap's sorted-unique-by-bit invariant after correlated
@@ -51,22 +108,35 @@ std::unique_ptr<FaultMap>
 FaultModel::buildMapAt(std::size_t num_lines, std::size_t line_bits,
                        double vNorm) const
 {
-    std::unique_ptr<FaultMap> map =
-        samplePopulation(num_lines, line_bits);
-    map->declareMonotoneVoltage(monotoneVoltage());
-    map->setVoltage(vNorm);
-    return map;
+    return adoptAt(std::make_shared<const FaultPopulation>(
+                       samplePopulation(num_lines, line_bits)),
+                   line_bits, vNorm);
 }
 
 std::unique_ptr<FaultMap>
-FaultModel::buildMapFrom(
-    std::vector<std::vector<FaultCell>> population,
-    std::size_t line_bits) const
+FaultModel::buildMapFrom(FaultPopulation population,
+                         std::size_t line_bits) const
 {
-    auto map = std::make_unique<FaultMap>(std::move(population),
-                                          line_bits, vm, sp.freqGHz);
+    return buildMapFrom(
+        std::make_shared<const FaultPopulation>(std::move(population)),
+        line_bits);
+}
+
+std::unique_ptr<FaultMap>
+FaultModel::buildMapFrom(std::shared_ptr<const FaultPopulation> die,
+                         std::size_t line_bits) const
+{
+    return adoptAt(std::move(die), line_bits, voltageSchedule().front());
+}
+
+std::unique_ptr<FaultMap>
+FaultModel::adoptAt(std::shared_ptr<const FaultPopulation> die,
+                    std::size_t line_bits, double vNorm) const
+{
+    auto map = std::make_unique<FaultMap>(std::move(die), line_bits,
+                                          vm, sp.freqGHz);
     map->declareMonotoneVoltage(monotoneVoltage());
-    map->setVoltage(voltageSchedule().front());
+    map->setVoltage(vNorm);
     return map;
 }
 
@@ -85,17 +155,84 @@ FaultModel::fromScenario(const ScenarioSpec &spec)
           spec.model.c_str());
 }
 
-std::unique_ptr<FaultMap>
+FaultPopulation
 IidStuckAt::samplePopulation(std::size_t num_lines,
                              std::size_t line_bits) const
 {
-    // The compat shim: delegate to the (deprecated) direct
-    // constructor so the default scenario stays bit-identical.
-    return std::make_unique<FaultMap>(num_lines, line_bits, vm, sp.seed,
-                                      sp.freqGHz);
+    // Sample every cell that could ever fail in the model's range:
+    // the potential-fault population at the lowest supported voltage.
+    const double pMax =
+        vm.pCell(VoltageModel::minVoltage(), sp.freqGHz);
+
+    const RngStreamScope stream("faultmap");
+    Rng rng(sp.seed);
+    FaultPopulation lines(num_lines);
+    if (hotpathReferenceMode() || pMax >= 1.0) {
+        // Reference sampler (also the degenerate everything-fails
+        // case): one uniform draw per cell, faulty iff u < pMax with
+        // the draw itself as the conditional threshold.
+        for (auto &line : lines) {
+            for (std::size_t bit = 0; bit < line_bits; ++bit) {
+                const double u = rng.uniform();
+                if (u >= pMax)
+                    continue;
+                FaultCell cell;
+                cell.bit = static_cast<std::uint16_t>(bit);
+                cell.threshold = static_cast<float>(u);
+                cell.stuckValue = rng.bernoulli(0.5);
+                cell.kind = rng.bernoulli(kReadShare)
+                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
+                line.push_back(cell);
+            }
+        }
+    } else if (pMax > 0.0) {
+        // Geometric skip sampling: the gap to the next faulty cell
+        // in an iid Bernoulli(pMax) sequence is Geometric(pMax), so
+        // skip whole runs of clean cells and pay one RNG draw per
+        // *fault* (plus one per line to detect "no more"), not one
+        // per bit. Memorylessness makes the per-line truncation
+        // exact: restarting the gap at each line boundary leaves
+        // every cell marginally Bernoulli(pMax). The faulty cell's
+        // threshold is then conditionally uniform in [0, pMax),
+        // matching the reference sampler's u | u<pMax; threshold,
+        // stuck value and fault kind all come from disjoint bits of
+        // one 64-bit draw (43 + 1 + 20 — the threshold is stored as
+        // a float anyway, and 2^-20 granularity on the kind share is
+        // far below any measurable effect). Lines are staged in one
+        // reusable scratch buffer so each line's backing store is a
+        // single exact-sized allocation instead of a growth chain.
+        const GeometricSampler geo(pMax);
+        const std::uint32_t kindCut =
+            static_cast<std::uint32_t>(kReadShare * 1048576.0);
+        std::vector<FaultCell> scratch;
+        scratch.reserve(line_bits);
+        for (auto &line : lines) {
+            scratch.clear();
+            std::size_t bit = 0;
+            while (bit < line_bits) {
+                const std::size_t gap =
+                    geo.draw(rng, line_bits - bit);
+                bit += gap;
+                if (bit >= line_bits)
+                    break;
+                const std::uint64_t r = rng.next64();
+                FaultCell cell;
+                cell.bit = static_cast<std::uint16_t>(bit);
+                cell.threshold = static_cast<float>(
+                    (r >> 21) * 0x1.0p-43 * pMax);
+                cell.stuckValue = (r & 1) != 0;
+                cell.kind = ((r >> 1) & 0xFFFFF) < kindCut
+                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
+                scratch.push_back(cell);
+                ++bit;
+            }
+            line.assign(scratch.begin(), scratch.end());
+        }
+    }
+    return lines;
 }
 
-std::unique_ptr<FaultMap>
+FaultPopulation
 ClusteredRowColumn::samplePopulation(std::size_t num_lines,
                                      std::size_t line_bits) const
 {
@@ -106,7 +243,7 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
 
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
-    std::vector<std::vector<FaultCell>> population(num_lines);
+    FaultPopulation population(num_lines);
 
     // Weak bitline columns are a property of the array, shared by
     // every line; draw them first so the stream layout is stable.
@@ -169,11 +306,10 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
 
     for (auto &line : population)
         sortAndDedupe(line);
-    return std::make_unique<FaultMap>(std::move(population), line_bits,
-                                      vm, sp.freqGHz);
+    return population;
 }
 
-std::unique_ptr<FaultMap>
+FaultPopulation
 BurstMixture::samplePopulation(std::size_t num_lines,
                                std::size_t line_bits) const
 {
@@ -185,7 +321,7 @@ BurstMixture::samplePopulation(std::size_t num_lines,
 
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
-    std::vector<std::vector<FaultCell>> population(num_lines);
+    FaultPopulation population(num_lines);
     for (std::size_t lineId = 0; lineId < num_lines; ++lineId) {
         auto &line = population[lineId];
         // iid background, identical in law to the reference sampler.
@@ -225,8 +361,7 @@ BurstMixture::samplePopulation(std::size_t num_lines,
         }
         sortAndDedupe(line);
     }
-    return std::make_unique<FaultMap>(std::move(population), line_bits,
-                                      vm, sp.freqGHz);
+    return population;
 }
 
 DroopSchedule::DroopSchedule(const ScenarioSpec &spec) : FaultModel(spec)
@@ -244,11 +379,11 @@ DroopSchedule::voltageSchedule() const
     return sp.droop.schedule;
 }
 
-std::unique_ptr<FaultMap>
+FaultPopulation
 DroopSchedule::samplePopulation(std::size_t num_lines,
                                 std::size_t line_bits) const
 {
-    return samplePopulationOf(*base, num_lines, line_bits);
+    return base->samplePopulation(num_lines, line_bits);
 }
 
 } // namespace killi

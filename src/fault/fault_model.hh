@@ -3,14 +3,14 @@
  * Fault-model factory hierarchy: one ScenarioSpec in, FaultMaps out.
  *
  * FaultModel is the single construction path for fault populations.
- * Where FaultMap's own constructor bakes in iid per-bit stuck-at
- * sampling (the paper's §6 evaluation assumption), the models here
- * also express the spatially-correlated populations real LV SRAM
- * exhibits (MoRS-style weak rows/columns and defect clusters,
- * multi-bit byte-aligned bursts) and time-varying voltage regimes:
+ * Besides iid per-bit stuck-at sampling (the paper's §6 evaluation
+ * assumption), the models express the spatially-correlated
+ * populations real LV SRAM exhibits (MoRS-style weak rows/columns and
+ * defect clusters, multi-bit byte-aligned bursts) and time-varying
+ * voltage regimes:
  *
- *  - IidStuckAt        "iid"       bit-identical to the legacy
- *                                  FaultMap constructor
+ *  - IidStuckAt        "iid"       the paper's per-bit stuck-at
+ *                                  faults
  *  - ClusteredRowColumn "clustered" weak-row/weak-column pCell boosts
  *                                  plus rectangular defect clusters
  *  - BurstMixture      "burst"     iid background plus byte-aligned
@@ -48,8 +48,17 @@ class FaultModel
     const VoltageModel &voltageModel() const { return vm; }
 
     /**
-     * Sample the scenario's fault population for an array of
-     * @p num_lines x @p line_bits cells and activate the first
+     * Sample the scenario's potential-fault population (the die) for
+     * an array of @p num_lines x @p line_bits cells: every cell that
+     * fails anywhere in the model's voltage range, each line sorted
+     * strictly ascending by bit. Deterministic in the scenario.
+     */
+    virtual FaultPopulation
+    samplePopulation(std::size_t num_lines,
+                     std::size_t line_bits) const = 0;
+
+    /**
+     * Sample a die and adopt it into a map activated at the first
      * operating point of voltageSchedule(). The returned map keeps a
      * reference into this model's VoltageModel: the model must
      * outlive the map.
@@ -59,25 +68,26 @@ class FaultModel
 
     /**
      * buildMap(), but activate @p vNorm instead of the schedule's
-     * first operating point. The voltage-sweep engine uses this to
-     * start a monotone map at the sweep's highest point (buildMap()
-     * would already have stepped to spec().voltage, below which a
-     * monotone map cannot be raised).
+     * first operating point (a monotone map cannot be raised above
+     * the point it starts at).
      */
     std::unique_ptr<FaultMap>
     buildMapAt(std::size_t num_lines, std::size_t line_bits,
                double vNorm) const;
 
     /**
-     * Build a map from an already-sampled potential-fault
-     * population (FaultMap::population() of a map this same model
-     * built) instead of resampling — the kserved warm store shares
-     * one sampled population across jobs keyed by (scenario,
-     * geometry, seed, build). Voltage handling matches buildMap();
-     * the resulting map is bit-identical to a cold buildMap().
+     * Adopt an already-sampled die (samplePopulation() of this same
+     * model) by reference instead of resampling; any number of maps
+     * may share it. Voltage handling matches buildMap(), so the map
+     * is bit-identical to a cold buildMap().
      */
     std::unique_ptr<FaultMap>
-    buildMapFrom(std::vector<std::vector<FaultCell>> population,
+    buildMapFrom(std::shared_ptr<const FaultPopulation> die,
+                 std::size_t line_bits) const;
+
+    /** buildMapFrom() for a die passed by value. */
+    std::unique_ptr<FaultMap>
+    buildMapFrom(FaultPopulation population,
                  std::size_t line_bits) const;
 
     /**
@@ -103,20 +113,11 @@ class FaultModel
   protected:
     explicit FaultModel(const ScenarioSpec &spec) : sp(spec) {}
 
-    /** Sample the potential-fault population (voltage handling is
-     *  buildMap()'s job; the returned map is still at 1.0 x VDD). */
-    virtual std::unique_ptr<FaultMap>
-    samplePopulation(std::size_t num_lines,
-                     std::size_t line_bits) const = 0;
-
-    /** Cross-instance access to samplePopulation() for wrapper
-     *  models (DroopSchedule delegates to its base model). */
-    static std::unique_ptr<FaultMap>
-    samplePopulationOf(const FaultModel &model, std::size_t num_lines,
-                       std::size_t line_bits)
-    {
-        return model.samplePopulation(num_lines, line_bits);
-    }
+    /** A map adopting @p die, declared per monotoneVoltage() and
+     *  activated at @p vNorm. */
+    std::unique_ptr<FaultMap>
+    adoptAt(std::shared_ptr<const FaultPopulation> die,
+            std::size_t line_bits, double vNorm) const;
 
     ScenarioSpec sp;
     VoltageModel vm;
@@ -125,17 +126,17 @@ class FaultModel
 /**
  * The paper's evaluation model: iid per-bit stuck-at faults.
  *
- * samplePopulation() is a one-line shim onto the legacy FaultMap
- * constructor, so the default scenario reproduces every historical
- * result bit-identically (tests/scenario_spec_test.cc pins this).
+ * samplePopulation() uses geometric skip sampling, one RNG draw per
+ * *fault* rather than per bit. Under hotpathReferenceMode() it runs
+ * the original one-draw-per-bit reference sampler instead (same
+ * distribution, different dies; see common/hotpath.hh).
  */
 class IidStuckAt final : public FaultModel
 {
   public:
     explicit IidStuckAt(const ScenarioSpec &spec) : FaultModel(spec) {}
 
-  protected:
-    std::unique_ptr<FaultMap>
+    FaultPopulation
     samplePopulation(std::size_t num_lines,
                      std::size_t line_bits) const override;
 };
@@ -154,8 +155,7 @@ class ClusteredRowColumn final : public FaultModel
     {
     }
 
-  protected:
-    std::unique_ptr<FaultMap>
+    FaultPopulation
     samplePopulation(std::size_t num_lines,
                      std::size_t line_bits) const override;
 };
@@ -172,8 +172,7 @@ class BurstMixture final : public FaultModel
     {
     }
 
-  protected:
-    std::unique_ptr<FaultMap>
+    FaultPopulation
     samplePopulation(std::size_t num_lines,
                      std::size_t line_bits) const override;
 };
@@ -191,9 +190,7 @@ class DroopSchedule final : public FaultModel
 
     bool monotoneVoltage() const override { return false; }
     std::vector<double> voltageSchedule() const override;
-
-  protected:
-    std::unique_ptr<FaultMap>
+    FaultPopulation
     samplePopulation(std::size_t num_lines,
                      std::size_t line_bits) const override;
 

@@ -1,24 +1,17 @@
 /**
  * @file
- * Incremental voltage-sweep engine (ROADMAP item 3).
+ * Voltage-sweep engine.
  *
  * A voltage sweep visits the same fault population at many operating
- * points. Because LV fault populations are monotone in V by
- * construction (DAC'17 superset invariant, fault_map.hh), each
- * point's active set differs from its neighbour's only by the cells
- * whose threshold crosses between pCell(V1) and pCell(V2) — so a
- * sweep does not need to resample (or even re-filter) every line per
- * point. This engine samples the population once, orders the points
- * from highest to lowest voltage, and steps the map down through
- * FaultMap's incremental delta path, turning a sweep from
- * O(points x lines) into O(lines + faults-delta).
- *
- * The incremental path is gated on FaultModel::monotoneVoltage():
- * droop-scheduled models may raise V mid-schedule, so they refuse
- * the delta path and fall back to a cold per-point activation in the
- * caller's original point order. Either way the per-point active
- * sets are bit-identical to cold sampling (asserted under
- * KILLI_CHECK_INVARIANTS, pinned in tests/fault_test.cc).
+ * points. The engine samples the die once and re-filters it at each
+ * point (FaultMap::setVoltage()), so a sweep costs one sampling plus
+ * one O(population) activation per point instead of one sampling per
+ * point. Monotone models are visited from the highest voltage down,
+ * as their maps may never be raised; droop-scheduled models may raise
+ * V mid-schedule and are visited in the caller's order. Either way
+ * every point's active set is bit-identical to a cold
+ * FaultModel::buildMapAt() at that voltage (pinned in
+ * tests/fault_test.cc).
  */
 
 #ifndef KILLI_FAULT_SWEEP_ENGINE_HH
@@ -45,13 +38,10 @@ using VoltageSweepFn =
  *  sweep cost. */
 struct VoltageSweepStats
 {
-    /** The map was stepped by threshold deltas (monotone models
-     *  only; droop schedules refuse the incremental path). */
-    bool incremental = false;
     /** Points visited (== the caller's vector size). */
     std::size_t points = 0;
-    /** Points that paid a full O(lines) re-filter: every point for
-     *  non-monotone models, only the first otherwise. */
+    /** Points that paid a full O(population) re-filter: every point
+     *  except a repeat of the voltage visited just before it. */
     std::size_t coldActivations = 0;
 };
 

@@ -433,10 +433,8 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     s.opt.onProgress = nullptr;
     // Recordings must capture the sampler's RNG draws, so the run
     // always samples its die cold — a warm population source, had
-    // the embedder set one, is stripped here (and share-die, which
-    // would install one inside runEvaluationSweep).
+    // the embedder set one, is stripped here.
     s.opt.warmFaultSource = nullptr;
-    s.opt.shareDie = false;
     if (s.opt.trace.empty()) {
         // Record every category's digests without writing per-point
         // trace files: the recording carries the checkpoints, not

@@ -1013,30 +1013,26 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
             SweepOptions ropt = sopt;
             ropt.cancel = &cancel;
             ropt.onProgress = progressFn;
-            // Plain jobs share sampled fault populations through the
-            // warm store: jobs that differ only in workload/scheme
-            // subsets miss the result cache but describe the same
-            // die, so it is synthesized once (single-flight) and
-            // adopted bit-identically everywhere else. Record/replay
-            // jobs must sample cold — adopting a population skips
-            // the sampler's RNG draws, which recordings capture.
+            // Plain jobs share sampled dies through the warm store:
+            // jobs that differ only in workload/scheme subsets miss
+            // the result cache but describe the same die, so it is
+            // sampled once (single-flight) and every campaign of it
+            // adopts it by reference. Record/replay jobs must sample
+            // cold — adopting a die skips the sampler's RNG draws,
+            // which recordings capture.
             if (!sub.record && !sub.replayRec &&
                 opt.warmStoreMb > 0) {
-                ropt.warmFaultSource =
-                    [this, scenario = sopt.scenario](
-                        const FaultModel &model,
-                        std::size_t numLines,
-                        std::size_t lineBits) {
-                        return warm.faultPopulation(
-                            WarmStore::faultMapKey(scenario,
-                                                   numLines,
-                                                   lineBits),
-                            [&model, numLines, lineBits] {
-                                return model
-                                    .buildMap(numLines, lineBits)
-                                    ->population();
-                            });
-                    };
+                ropt.warmFaultSource = [this](const FaultModel &model,
+                                              std::size_t numLines,
+                                              std::size_t lineBits) {
+                    return warm.faultPopulation(
+                        WarmStore::faultMapKey(model.spec(), numLines,
+                                               lineBits),
+                        [&model, numLines, lineBits] {
+                            return model.samplePopulation(numLines,
+                                                          lineBits);
+                        });
+                };
             }
             if (sub.replayRec) {
                 // Re-run from the recording and attach the

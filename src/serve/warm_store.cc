@@ -32,25 +32,25 @@ WarmStore::WarmStore(std::size_t maxBytes,
                        return missCount;
                    });
     reg->counterFn("kserved_warm_store_insertions_total",
-                   "Payloads inserted into the warm store", {},
+                   "Dies inserted into the warm store", {},
                    [this] {
                        std::lock_guard<std::mutex> lock(mtx);
                        return insertCount;
                    });
     reg->counterFn("kserved_warm_store_evictions_total",
-                   "Payloads evicted by the byte bound (and dropped "
+                   "Dies evicted by the byte bound (and dropped "
                    "by drain-time clear)",
                    {}, [this] {
                        std::lock_guard<std::mutex> lock(mtx);
                        return evictCount;
                    });
     reg->gaugeFn("kserved_warm_store_entries",
-                 "Payloads resident in the warm store", {}, [this] {
+                 "Dies resident in the warm store", {}, [this] {
                      std::lock_guard<std::mutex> lock(mtx);
                      return double(lru.size());
                  });
     reg->gaugeFn("kserved_warm_store_bytes",
-                 "Payload bytes resident in the warm store", {},
+                 "Die bytes resident in the warm store", {},
                  [this] {
                      std::lock_guard<std::mutex> lock(mtx);
                      return double(bytesStored);
@@ -70,9 +70,10 @@ WarmStore::faultMapKey(const ScenarioSpec &scenario,
     return key.toString(0);
 }
 
-WarmStore::Payload
-WarmStore::getOrSynthesize(const std::string &canonicalKey,
-                           const std::function<Payload()> &synthesize)
+std::shared_ptr<const FaultPopulation>
+WarmStore::faultPopulation(
+    const std::string &canonicalKey,
+    const std::function<FaultPopulation()> &synthesize)
 {
     const std::string hash = sha256Hex(canonicalKey);
     std::unique_lock<std::mutex> lock(mtx);
@@ -86,7 +87,7 @@ WarmStore::getOrSynthesize(const std::string &canonicalKey,
             }
             lru.splice(lru.begin(), lru, it->second);
             ++hitCount;
-            return it->second->payload;
+            return it->second->die;
         }
         if (!inFlight.count(hash))
             break;
@@ -98,66 +99,48 @@ WarmStore::getOrSynthesize(const std::string &canonicalKey,
     ++missCount;
     lock.unlock();
 
-    Payload payload;
+    Entry entry{hash, canonicalKey, nullptr, sizeof(FaultPopulation)};
     try {
-        payload = synthesize();
+        entry.die =
+            std::make_shared<const FaultPopulation>(synthesize());
     } catch (...) {
         lock.lock();
         inFlight.erase(hash);
         cv.notify_all();
         throw;
     }
+    for (const auto &line : *entry.die)
+        entry.bytes += sizeof(line) + line.capacity() * sizeof(FaultCell);
+    std::shared_ptr<const FaultPopulation> die = entry.die;
 
     lock.lock();
     inFlight.erase(hash);
-    insertLocked(hash, canonicalKey, payload);
+    insertLocked(std::move(entry));
     cv.notify_all();
-    return payload;
-}
-
-std::shared_ptr<const FaultPopulation>
-WarmStore::faultPopulation(
-    const std::string &canonicalKey,
-    const std::function<FaultPopulation()> &synthesize)
-{
-    const Payload payload =
-        getOrSynthesize(canonicalKey, [&synthesize] {
-            auto pop = std::make_shared<const FaultPopulation>(
-                synthesize());
-            std::size_t bytes = sizeof(FaultPopulation);
-            for (const auto &line : *pop) {
-                bytes += sizeof(line) +
-                         line.capacity() * sizeof(FaultCell);
-            }
-            return Payload{pop, bytes};
-        });
-    return std::static_pointer_cast<const FaultPopulation>(
-        payload.data);
+    return die;
 }
 
 void
-WarmStore::insertLocked(std::string hash,
-                        const std::string &canonicalKey,
-                        Payload payload)
+WarmStore::insertLocked(Entry entry)
 {
-    const auto it = index.find(hash);
+    const auto it = index.find(entry.hash);
     if (it != index.end()) {
         // Possible when clear() raced the synthesis and a second
-        // caller re-synthesized; payloads are deterministic in the
-        // key, keep the newest.
-        bytesStored -= it->second->payload.bytes;
-        bytesStored += payload.bytes;
-        it->second->payload = std::move(payload);
+        // caller re-synthesized; dies are deterministic in the key,
+        // keep the newest.
+        bytesStored -= it->second->bytes;
+        bytesStored += entry.bytes;
+        it->second->die = std::move(entry.die);
+        it->second->bytes = entry.bytes;
         lru.splice(lru.begin(), lru, it->second);
         return;
     }
-    bytesStored += payload.bytes;
-    lru.push_front(
-        Entry{std::move(hash), canonicalKey, std::move(payload)});
+    bytesStored += entry.bytes;
+    lru.push_front(std::move(entry));
     index.emplace(lru.front().hash, lru.begin());
     ++insertCount;
     while (bytesStored > maxBytes && lru.size() > 1) {
-        bytesStored -= lru.back().payload.bytes;
+        bytesStored -= lru.back().bytes;
         index.erase(lru.back().hash);
         lru.pop_back();
         ++evictCount;

@@ -1,31 +1,29 @@
 /**
  * @file
- * Content-addressed warm-state store of the serving daemon.
+ * Content-addressed store of sampled dies for the serving daemon.
  *
  * Where the ResultCache keys *finished result documents* by the full
- * canonical request, the warm store keys *expensive intermediate
- * state* — today the sampled fault population of a die — by just the
- * inputs that determine it: the scenario's canonical document, the
- * array geometry, and the build id. Two concurrent jobs that differ
- * only in workload/scheme subsets miss the result cache but share a
- * die, so the daemon synthesizes the population once and every other
- * sweep point (of either job) adopts it through
- * FaultModel::buildMapFrom(), which is bit-identical to cold
- * sampling by construction (pinned in tests/fault_test.cc).
+ * canonical request, the warm store keys the sampled fault population
+ * of a die by just the inputs that determine it: the scenario's
+ * canonical document, the array geometry, and the build id. Two jobs
+ * that differ only in workload/scheme subsets miss the result cache
+ * but share a die, so the daemon samples it once and every campaign
+ * of that die adopts it by reference (FaultModel::buildMapFrom(),
+ * bit-identical to sampling by construction). A campaign consults
+ * the store once, before it dispatches any point.
  *
- * Entries are generic payloads (an opaque shared blob plus its byte
- * size), so future state classes — sliced codec tables keyed by
- * {kind:"codec", ...} — slot in without another store. Lookups are
- * single-flight: when a key is being synthesized, later callers
- * block on it instead of duplicating the work, and only the one
- * caller that ran the synthesizer counts a miss — so
+ * Lookups are single-flight: when a key is being synthesized, later
+ * callers block on it instead of duplicating the work, and only the
+ * one caller that ran the synthesizer counts a miss — so
  * kserved_warm_store_misses_total equals the number of syntheses
  * exactly (the serve-smoke CI leg asserts this).
  *
  * Bounded by bytes, not entries (populations vary wildly with
- * geometry): least-recently-used payloads are evicted once the
- * resident total exceeds the bound, always keeping at least the
- * newest entry. All methods are thread-safe.
+ * geometry): least-recently-used dies are evicted once the resident
+ * total exceeds the bound, always keeping at least the newest entry.
+ * Eviction only drops the store's reference: a die stays alive until
+ * the running jobs that adopted it release it. All methods are
+ * thread-safe.
  */
 
 #ifndef KILLI_SERVE_WARM_STORE_HH
@@ -40,7 +38,6 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/json.hh"
 #include "fault/fault_map.hh"
@@ -50,25 +47,11 @@
 namespace killi::serve
 {
 
-/** A sampled die: one vector of fault cells per line (the exact
- *  shape FaultMap::population() exposes and
- *  FaultModel::buildMapFrom() adopts). */
-using FaultPopulation = std::vector<std::vector<FaultCell>>;
-
 class WarmStore
 {
   public:
-    /** One stored blob: type-erased so the store can hold any state
-     *  class; bytes is the payload's accounted size (the typed
-     *  helpers compute it). */
-    struct Payload
-    {
-        std::shared_ptr<const void> data;
-        std::size_t bytes = 0;
-    };
-
     /**
-     * @param maxBytes resident-payload bound (the newest entry is
+     * @param maxBytes resident-population bound (the newest entry is
      *        always kept, even when it alone exceeds the bound).
      * @param reg optional metrics registry; when set, the store
      *        registers kserved_warm_store_* counters and gauges.
@@ -89,19 +72,13 @@ class WarmStore
 
     /**
      * Look up @p canonicalKey; on a miss run @p synthesize (without
-     * holding the store lock), insert its payload, and return it.
-     * Concurrent callers of the same key block until the one
-     * synthesis finishes and then count hits — a miss is recorded
-     * only for the caller that actually synthesized. A synthesize
-     * that throws releases the key's in-flight claim (the next
-     * caller retries) and rethrows.
+     * holding the store lock), insert the population it returns, and
+     * share it out. Concurrent callers of the same key block until
+     * the one synthesis finishes and then count hits — a miss is
+     * recorded only for the caller that actually synthesized. A
+     * synthesize that throws releases the key's in-flight claim (the
+     * next caller retries) and rethrows.
      */
-    Payload getOrSynthesize(const std::string &canonicalKey,
-                            const std::function<Payload()> &synthesize);
-
-    /** getOrSynthesize() for a fault population, with the byte
-     *  accounting done here: @p synthesize returns the sampled
-     *  population by value and the store shares it out. */
     std::shared_ptr<const FaultPopulation>
     faultPopulation(const std::string &canonicalKey,
                     const std::function<FaultPopulation()> &synthesize);
@@ -114,7 +91,7 @@ class WarmStore
     struct Stats
     {
         std::uint64_t hits = 0;
-        /** Exactly the number of syntheses (see getOrSynthesize). */
+        /** Exactly the number of syntheses (see faultPopulation). */
         std::uint64_t misses = 0;
         std::uint64_t insertions = 0;
         std::uint64_t evictions = 0;
@@ -132,13 +109,14 @@ class WarmStore
     {
         std::string hash;
         std::string canonicalKey;
-        Payload payload;
+        std::shared_ptr<const FaultPopulation> die;
+        /** The die's accounted size. */
+        std::size_t bytes = 0;
     };
 
     /** Caller holds mtx. Insert at LRU front, then evict from the
      *  back while over maxBytes (keeping at least one entry). */
-    void insertLocked(std::string hash, const std::string &canonicalKey,
-                      Payload payload);
+    void insertLocked(Entry entry);
 
     mutable std::mutex mtx;
     std::condition_variable cv;

@@ -13,6 +13,7 @@
 #include "baselines/precharacterized.hh"
 #include "cache/geometry.hh"
 #include "fault/voltage_model.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -36,7 +37,7 @@ struct BaselineFixture
 {
     BaselineFixture()
         : faults(std::make_unique<FaultMap>(
-              testGeom().numLines(), 720, model, 5))
+              iidDie(testGeom().numLines(), 5), 720, model))
     {
         faults->setVoltage(1.0); // plant deterministically
     }

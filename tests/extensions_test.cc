@@ -15,6 +15,7 @@
 #include "fault/voltage_model.hh"
 #include "gpu/gpu_system.hh"
 #include "killi/killi.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -45,7 +46,7 @@ struct Rig
 {
     explicit Rig(KilliParams kp = KilliParams{})
         : faults(std::make_unique<FaultMap>(
-              testGeom().numLines(), 720, model, 77))
+              iidDie(testGeom().numLines(), 77), 720, model))
     {
         faults->setVoltage(1.0);
         prot = std::make_unique<KilliProtection>(*faults, kp);
@@ -219,7 +220,7 @@ TEST(SoftErrorSimTest, InjectionRaisesErrorMissesNotSdc)
     gp.l2.softErrorRatePerBitCycle = 2e-9; // aggressive, for signal
     gp.l2.maintenanceInterval = 100000;
     VoltageModel model;
-    FaultMap faults(gp.l2Geom.numLines(), 720, model, 9);
+    FaultMap faults(iidDie(gp.l2Geom.numLines(), 9), 720, model);
     faults.setVoltage(0.625);
 
     KilliProtection prot(faults, KilliParams{});
@@ -254,7 +255,7 @@ struct WbRig
         k.writebackMode = true;
         return k;
     }())
-        : faults(gp.l2Geom.numLines(), 720, model, 55)
+        : faults(iidDie(gp.l2Geom.numLines(), 55), 720, model)
     {
         gp.l2.writePolicy = WritePolicy::WriteBack;
         faults.setVoltage(voltage);
@@ -292,7 +293,7 @@ TEST(WritebackTest, WriteThroughWritesEveryStore)
     // sends every store to memory.
     VoltageModel model;
     GpuParams gp; // default write-through
-    FaultMap faults(gp.l2Geom.numLines(), 720, model, 55);
+    FaultMap faults(iidDie(gp.l2Geom.numLines(), 55), 720, model);
     faults.setVoltage(1.0);
     KilliProtection prot(faults, KilliParams{});
     const auto wl = makeWorkload("dgemm", 0.05);
@@ -412,7 +413,7 @@ TEST(WritebackTest, EndToEndAtOperatingVoltage)
 TEST(WritebackTest, PrecharacterizedWritebackProbe)
 {
     VoltageModel model;
-    FaultMap faults(testGeom().numLines(), 720, model, 3);
+    FaultMap faults(iidDie(testGeom().numLines(), 3), 720, model);
     faults.setVoltage(1.0);
     faults.plantFault(4, 10, true);
     auto scheme = makeFlair(faults);

@@ -12,12 +12,14 @@
 #include <map>
 
 #include "common/bitvec.hh"
+#include "common/hotpath.hh"
 #include "common/rng.hh"
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
 #include "fault/sweep_engine.hh"
 #include "fault/voltage_model.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -99,7 +101,7 @@ FaultMap
 smallMap(double voltage, std::uint64_t seed = 7)
 {
     static const VoltageModel vm;
-    FaultMap fm(2048, 720, vm, seed);
+    FaultMap fm(iidDie(2048, seed), 720, vm);
     fm.setVoltage(voltage);
     return fm;
 }
@@ -116,7 +118,7 @@ TEST(FaultMapTest, MonotoneInVoltage)
 {
     // Every cell faulty at v must be faulty at all lower voltages.
     static const VoltageModel vm;
-    FaultMap fm(1024, 720, vm, 11);
+    FaultMap fm(iidDie(1024, 11), 720, vm);
     for (double vHigh : {0.65, 0.625, 0.6}) {
         const double vLow = vHigh - 0.025;
         fm.setVoltage(vHigh);
@@ -180,7 +182,7 @@ TEST(FaultMapTest, HistogramMatchesBinomial)
     // The sampled per-line fault distribution must match the
     // analytical model (Fig. 2 consistency), within sampling noise.
     static const VoltageModel vm;
-    FaultMap fm(32768, 720, vm, 3);
+    FaultMap fm(iidDie(32768, 3), 720, vm);
     fm.setVoltage(0.6);
     const auto hist = fm.histogram(512);
     const double n = 32768.0;
@@ -271,6 +273,37 @@ TEST(FaultMapTest, CountFaultsRespectsPrefix)
 
 // --- Geometric skip sampling -------------------------------------------
 
+namespace
+{
+
+/** Set hotpathReferenceMode() for one scope: iid sampling then runs
+ *  the per-bit reference sampler (common/hotpath.hh). */
+class ScopedReferenceMode
+{
+  public:
+    explicit ScopedReferenceMode(bool on)
+        : previous(hotpathReferenceMode())
+    {
+        setHotpathReferenceMode(on);
+    }
+    ~ScopedReferenceMode() { setHotpathReferenceMode(previous); }
+
+  private:
+    bool previous;
+};
+
+/** A map around @p seed's iid die, sampled by the per-bit reference
+ *  sampler when @p reference is set. */
+FaultMap
+iidMap(const VoltageModel &vm, std::size_t numLines, std::uint64_t seed,
+       bool reference)
+{
+    const ScopedReferenceMode scope(reference);
+    return FaultMap(iidDie(numLines, seed), 720, vm);
+}
+
+} // namespace
+
 TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
 {
     // The skip sampler replaces one uniform draw per bit with one
@@ -283,10 +316,8 @@ TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
     std::size_t faultsSkip = 0, faultsRef = 0;
     std::size_t activeSkip = 0, activeRef = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        FaultMap skip(numLines, lineBits, model, seed, 1.0,
-                      FaultSampling::Skip);
-        FaultMap ref(numLines, lineBits, model, seed ^ 0xabcdef, 1.0,
-                     FaultSampling::PerBit);
+        FaultMap skip = iidMap(model, numLines, seed, false);
+        FaultMap ref = iidMap(model, numLines, seed ^ 0xabcdef, true);
         skip.setVoltage(VoltageModel::minVoltage());
         ref.setVoltage(VoltageModel::minVoltage());
         for (std::size_t l = 0; l < numLines; ++l) {
@@ -313,9 +344,8 @@ TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
 TEST(FaultMapTest, SampledPopulationIsSortedByBit)
 {
     const VoltageModel model;
-    for (const FaultSampling mode :
-         {FaultSampling::Skip, FaultSampling::PerBit}) {
-        FaultMap map(512, 720, model, 42, 1.0, mode);
+    for (const bool reference : {false, true}) {
+        FaultMap map = iidMap(model, 512, 42, reference);
         map.setVoltage(VoltageModel::minVoltage());
         for (std::size_t l = 0; l < map.numLines(); ++l) {
             const auto &cells = map.lineFaults(l);
@@ -329,7 +359,7 @@ TEST(FaultMapTest, SampledPopulationIsSortedByBit)
 TEST(FaultMapTest, PlantFaultKeepsSortInvariant)
 {
     const VoltageModel model;
-    FaultMap map(4, 720, model, 7);
+    FaultMap map(iidDie(4, 7), 720, model);
     map.setVoltage(1.0); // planted faults only
     // Out-of-order plants must land in sorted position (isStuck and
     // countFaults binary-search / early-exit over the sorted set).
@@ -354,7 +384,7 @@ TEST(FaultMapTest, PlantFaultKeepsSortInvariant)
     EXPECT_TRUE(map.countFaults(0, 201) == 2u);
 }
 
-// --- Incremental voltage stepping --------------------------------------
+// --- Shared dies and voltage activation --------------------------------
 
 namespace
 {
@@ -383,8 +413,8 @@ expectActiveIdentical(const FaultMap &a, const FaultMap &b,
     }
 }
 
-/** Deep copy of a map's active sets (the callback's map is stepped
- *  in place, so order-comparison tests must snapshot). */
+/** Deep copy of a map's active sets (the callback's map is
+ *  re-activated in place, so order-comparison tests must snapshot). */
 std::vector<std::vector<FaultCell>>
 snapshotActive(const FaultMap &map)
 {
@@ -402,7 +432,7 @@ TEST(FaultMapTest, EqualVoltageResetIsIdempotentNoOp)
     // point voltage: a bit-exact re-set must be accepted as a no-op
     // under the declared monotone regime, not treated as a raise.
     static const VoltageModel vm;
-    FaultMap fm(512, 720, vm, 21);
+    FaultMap fm(iidDie(512, 21), 720, vm);
     fm.declareMonotoneVoltage(true);
     fm.setVoltage(0.6);
     const auto before = snapshotActive(fm);
@@ -417,114 +447,59 @@ TEST(FaultMapTest, EqualVoltageResetIsIdempotentNoOp)
     }
 }
 
-TEST(FaultMapTest, IncrementalSteppingMatchesColdFiltering)
-{
-    // Same seed, same population; one map steps by threshold deltas,
-    // the other cold-filters. Every point must be bit-identical.
-    static const VoltageModel vm;
-    FaultMap inc(1024, 720, vm, 17);
-    FaultMap cold(1024, 720, vm, 17);
-    inc.declareMonotoneVoltage(true);
-    cold.declareMonotoneVoltage(true);
-    ASSERT_TRUE(inc.enableIncrementalVoltage());
-    EXPECT_TRUE(inc.incrementalVoltage());
-    for (const double v :
-         {0.70, 0.675, 0.65, 0.625, 0.60, 0.59, 0.575, 0.55, 0.50}) {
-        inc.setVoltage(v);
-        cold.setVoltage(v);
-        expectActiveIdentical(inc, cold,
-                              "v=" + std::to_string(v));
-    }
-}
-
-TEST(FaultMapTest, IncrementalTieAtThresholdMatchesCold)
-{
-    // A cell whose threshold sits exactly at a sweep point's pCell:
-    // cold filtering's strict `threshold < p` leaves it inactive at
-    // equality, and the incremental walk must land the tie on the
-    // same side (both compare the float threshold promoted to
-    // double against the same p).
-    static const VoltageModel vm;
-    const float tie = static_cast<float>(vm.pCell(0.600, 1.0));
-    std::vector<std::vector<FaultCell>> pop(4);
-    pop[1].push_back({100, tie, true, FaultKind::Writeability});
-    pop[1].push_back({200, tie / 2, false, FaultKind::ReadDisturb});
-    pop[2].push_back({50, tie * 4, true, FaultKind::Writeability});
-    FaultMap inc(pop, 720, vm);
-    FaultMap cold(pop, 720, vm);
-    inc.declareMonotoneVoltage(true);
-    cold.declareMonotoneVoltage(true);
-    ASSERT_TRUE(inc.enableIncrementalVoltage());
-
-    // Bisect for a voltage whose pCell equals the float-rounded
-    // threshold exactly (pCell is continuous and monotone, so the
-    // boundary is reachable to the last ulp if representable).
-    const double target = double(tie);
-    double lo = 0.55, hi = 0.65; // pCell(lo) > target > pCell(hi)
-    double vStar = 0.600;
-    bool exact = false;
-    for (int it = 0; it < 200 && !exact; ++it) {
-        const double mid = lo + (hi - lo) / 2;
-        if (mid == lo || mid == hi)
-            break;
-        const double p = vm.pCell(mid, 1.0);
-        if (p == target) {
-            vStar = mid;
-            exact = true;
-        } else if (p > target) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-
-    std::vector<double> ladder = {0.650, 0.625, 0.610};
-    ladder.push_back(exact ? vStar : 0.600);
-    ladder.push_back(0.590);
-    ladder.push_back(0.575);
-    for (const double v : ladder) {
-        inc.setVoltage(v);
-        cold.setVoltage(v);
-        expectActiveIdentical(inc, cold, "v=" + std::to_string(v));
-        if (exact && v == vStar) {
-            // Exactly at the threshold: strict < excludes the cell
-            // in both derivations.
-            EXPECT_EQ(inc.lineFaults(1).size(), 1u);
-            EXPECT_EQ(inc.lineFaults(1)[0].bit, 200);
-        }
-    }
-    // Below the boundary the tied cell is active in both.
-    EXPECT_EQ(inc.lineFaults(1).size(), 2u);
-    EXPECT_EQ(cold.lineFaults(1).size(), 2u);
-}
-
-TEST(FaultMapTest, PlantFaultInvalidatesIncrementalIndex)
+TEST(FaultMapTest, MapsAdoptingOneDieShareItAndActivateIndependently)
 {
     static const VoltageModel vm;
-    FaultMap inc(1024, 720, vm, 23);
-    FaultMap cold(1024, 720, vm, 23);
-    inc.declareMonotoneVoltage(true);
-    cold.declareMonotoneVoltage(true);
-    inc.setVoltage(0.65);
-    cold.setVoltage(0.65);
-    ASSERT_TRUE(inc.enableIncrementalVoltage());
-    inc.setVoltage(0.625);
-    cold.setVoltage(0.625);
-    // Mutating the population must not leave the delta path reading
-    // stale (line, cell) references.
-    inc.plantFault(3, 17, true);
-    cold.plantFault(3, 17, true);
-    for (const double v : {0.60, 0.575}) {
-        inc.setVoltage(v);
-        cold.setVoltage(v);
-        expectActiveIdentical(inc, cold, "v=" + std::to_string(v));
-    }
-}
+    const auto die = iidDie(256, 31);
+    FaultMap a(die, 720, vm);
+    FaultMap b(die, 720, vm);
+    EXPECT_EQ(&a.population(), &b.population()); // zero-copy adoption
+    EXPECT_EQ(&a.population(), die.get());
 
-// --- Voltage-sweep engine ----------------------------------------------
+    a.setVoltage(0.55);
+    b.setVoltage(0.65);
+    FaultMap coldA(iidDie(256, 31), 720, vm);
+    FaultMap coldB(iidDie(256, 31), 720, vm);
+    coldA.setVoltage(0.55);
+    coldB.setVoltage(0.65);
+    expectActiveIdentical(a, coldA, "a at 0.55");
+    expectActiveIdentical(b, coldB, "b at 0.65");
+
+    // Planting into a copies the die first: b's population and
+    // active sets do not move, and neither does the shared die.
+    std::size_t line = 0;
+    while (line < die->size() && (*die)[line].empty())
+        ++line;
+    ASSERT_LT(line, die->size());
+    const std::uint16_t bit = (*die)[line].front().bit;
+    const std::size_t dieCells = (*die)[line].size();
+    const auto bBefore = snapshotActive(b);
+    a.plantFault(line, bit, !(*die)[line].front().stuckValue);
+    a.plantFault(line, 719, true);
+    EXPECT_NE(&a.population(), die.get());
+    EXPECT_EQ(&b.population(), die.get());
+    EXPECT_EQ((*die)[line].size(), dieCells);
+    EXPECT_EQ((*die)[line].front().threshold,
+              coldA.population()[line].front().threshold);
+    EXPECT_EQ(b.population()[line].size(), dieCells);
+    const auto bAfter = snapshotActive(b);
+    ASSERT_EQ(bBefore.size(), bAfter.size());
+    for (std::size_t l = 0; l < bBefore.size(); ++l) {
+        ASSERT_EQ(bBefore[l].size(), bAfter[l].size()) << "line " << l;
+        for (std::size_t i = 0; i < bBefore[l].size(); ++i)
+            EXPECT_EQ(bBefore[l][i].bit, bAfter[l][i].bit);
+    }
+    expectActiveIdentical(b, coldB, "b after a's plants");
+    // a sees its plants (always active, sorted into place).
+    EXPECT_EQ(a.population()[line].back().bit, 719);
+    EXPECT_EQ(a.lineFaults(line).back().bit, 719);
+    EXPECT_EQ(a.lineFaults(line).front().bit, bit);
+}
 
 TEST(SweepEngineTest, IncrementalMatchesColdAtEveryPoint)
 {
+    // Every point of a sweep equals a cold buildMapAt() at its
+    // voltage, and each point pays one activation.
     const std::vector<double> points = {0.70, 0.675, 0.65, 0.625,
                                         0.60, 0.575, 0.55};
     for (const char *name : {"iid", "clustered", "burst"}) {
@@ -543,9 +518,8 @@ TEST(SweepEngineTest, IncrementalMatchesColdAtEveryPoint)
                     map, *cold,
                     std::string(name) + " v=" + std::to_string(v));
             });
-        EXPECT_TRUE(st.incremental) << name;
         EXPECT_EQ(st.points, points.size());
-        EXPECT_EQ(st.coldActivations, 1u) << name;
+        EXPECT_EQ(st.coldActivations, points.size()) << name;
         EXPECT_EQ(visited, points.size());
     }
 }
@@ -566,7 +540,6 @@ TEST(SweepEngineTest, SinglePointSweep)
             expectActiveIdentical(map, *cold, "single point");
         });
     EXPECT_EQ(st.points, 1u);
-    EXPECT_TRUE(st.incremental);
     EXPECT_EQ(st.coldActivations, 1u);
     EXPECT_EQ(visited, 1u);
 }
@@ -610,6 +583,8 @@ TEST(SweepEngineTest, AscendingAndDescendingOrdersAgree)
 
 TEST(SweepEngineTest, DroopScheduleRefusesIncrementalPath)
 {
+    // Droop schedules may raise V, so the engine keeps the caller's
+    // order; every point still equals a cold buildMapAt().
     ScenarioSpec spec;
     spec.model = "droop";
     spec.droop.schedule = {0.625, 0.600, 0.575, 0.625}; // raises V
@@ -620,22 +595,18 @@ TEST(SweepEngineTest, DroopScheduleRefusesIncrementalPath)
         [&](std::size_t idx, double v, FaultMap &map) {
             EXPECT_EQ(idx, visitedV.size());
             visitedV.push_back(v);
-            EXPECT_FALSE(map.incrementalVoltage());
+            const auto cold = model->buildMapAt(64, 720, v);
+            expectActiveIdentical(map, *cold,
+                                  "droop v=" + std::to_string(v));
         });
-    EXPECT_FALSE(st.incremental);
     EXPECT_EQ(st.coldActivations, 4u);
     EXPECT_EQ(visitedV, spec.droop.schedule); // caller order kept
-    // And a droop-built (non-monotone) map refuses the opt-in
-    // directly: its schedule may legally raise V.
-    const auto map = model->buildMap(64, 720);
-    EXPECT_FALSE(map->enableIncrementalVoltage());
-    EXPECT_FALSE(map->incrementalVoltage());
 }
 
 TEST(SweepEngineTest, BuildMapFromPopulationIsBitIdentical)
 {
-    // The kserved warm store rebuilds maps from a shared sampled
-    // population; the result must match a cold buildMap() exactly.
+    // The kserved warm store and every sweep campaign adopt a shared
+    // sampled die; the result must match a cold buildMap() exactly.
     for (const char *name : {"iid", "clustered", "burst", "droop"}) {
         ScenarioSpec spec;
         spec.model = name;
@@ -646,5 +617,10 @@ TEST(SweepEngineTest, BuildMapFromPopulationIsBitIdentical)
             model->buildMapFrom(cold->population(), 720);
         EXPECT_EQ(warm->voltage(), cold->voltage()) << name;
         expectActiveIdentical(*warm, *cold, name);
+        const auto shared = model->buildMapFrom(
+            std::make_shared<const FaultPopulation>(
+                model->samplePopulation(256, 720)),
+            720);
+        expectActiveIdentical(*shared, *cold, name);
     }
 }

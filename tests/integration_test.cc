@@ -16,6 +16,7 @@
 #include "fault/voltage_model.hh"
 #include "gpu/gpu_system.hh"
 #include "killi/killi.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -25,7 +26,7 @@ namespace
 struct Rig
 {
     explicit Rig(double voltage, std::uint64_t seed = 21)
-        : faults(gp.l2Geom.numLines(), 720, model, seed)
+        : faults(iidDie(gp.l2Geom.numLines(), seed), 720, model)
     {
         faults.setVoltage(voltage);
     }

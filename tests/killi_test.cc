@@ -16,6 +16,7 @@
 #include "fault/fault_map.hh"
 #include "fault/voltage_model.hh"
 #include "killi/killi.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -50,7 +51,7 @@ struct KilliFixture
 {
     explicit KilliFixture(KilliParams params = KilliParams{})
         : faults(std::make_unique<FaultMap>(
-              testGeom().numLines(), 720, model, /*seed=*/99))
+              iidDie(testGeom().numLines(), /*seed=*/99), 720, model))
     {
         // Nominal voltage: the random population is empty; tests
         // plant exactly the faults they want.

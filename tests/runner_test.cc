@@ -19,6 +19,7 @@
 #include "common/json.hh"
 #include "common/options.hh"
 #include "common/stats.hh"
+#include "fault/fault_model.hh"
 #include "gpu/gpu_system.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
@@ -586,6 +587,28 @@ TEST(EvaluationSweep, ResultsFileIsWellFormedAndConsumable)
     EXPECT_EQ(killi.toJson(),
               res.workloads[0].schemes[0].result.toJson());
     std::remove(path.c_str());
+}
+
+TEST(EvaluationSweep, CampaignTakesItsDieFromTheWarmSourceOnce)
+{
+    // 2 workloads x (baseline + 2 schemes) = 6 points on 2 workers,
+    // all adopting the one die the campaign fetched before dispatch.
+    SweepOptions opt = tinySweep(2);
+    opt.schemes = {"DECTED", "Killi 1:256"};
+    const SweepResult cold = runEvaluationSweep(opt);
+
+    std::atomic<int> calls{0};
+    opt.warmFaultSource = [&calls](const FaultModel &model,
+                                   std::size_t numLines,
+                                   std::size_t lineBits) {
+        ++calls;
+        return std::make_shared<const FaultPopulation>(
+            model.samplePopulation(numLines, lineBits));
+    };
+    const SweepResult warm = runEvaluationSweep(opt);
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_TRUE(warm.campaign.allOk());
+    EXPECT_EQ(sweepData(warm), sweepData(cold));
 }
 
 TEST(EvaluationSweepDeathTest, UnknownSchemeNameIsFatal)

@@ -1,11 +1,9 @@
 /**
  * @file
  * ScenarioSpec / FaultModel contract tests: the scenario document
- * round-trips byte-identically, the default (iid) scenario rebuilds
- * the legacy FaultMap constructor's population bit-for-bit, the
- * correlated model classes produce the spatial shapes they advertise,
- * and the monotone-voltage guard fires exactly when a model declares
- * monotonicity.
+ * round-trips byte-identically, the correlated model classes produce
+ * the spatial shapes they advertise, and the monotone-voltage guard
+ * fires exactly when a model declares monotonicity.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +17,6 @@
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
-#include "fault/voltage_model.hh"
 
 namespace killi
 {
@@ -134,24 +131,6 @@ expectSamePopulation(const FaultMap &a, const FaultMap &b)
                 << "line " << line;
         }
     }
-}
-
-TEST(FaultModel, DefaultScenarioMatchesLegacyConstructorBitwise)
-{
-    ScenarioSpec spec;
-    spec.seed = 42;
-    spec.voltage = 0.625;
-    const std::unique_ptr<FaultModel> model =
-        FaultModel::fromScenario(spec);
-    const std::unique_ptr<FaultMap> viaModel =
-        model->buildMap(2048, 720);
-
-    const VoltageModel vm;
-    FaultMap legacy(2048, 720, vm, 42);
-    legacy.setVoltage(0.625);
-
-    EXPECT_DOUBLE_EQ(viaModel->voltage(), legacy.voltage());
-    expectSamePopulation(*viaModel, legacy);
 }
 
 TEST(FaultModel, SameScenarioSameDie)
@@ -286,15 +265,6 @@ TEST(FaultModel, DroopMapsMayRaiseVoltage)
     for (const double v : spec.droop.schedule)
         map->setVoltage(v); // includes the raise back to 0.65
     EXPECT_DOUBLE_EQ(map->voltage(), spec.droop.schedule.back());
-}
-
-TEST(FaultModel, LegacyDirectMapsStayUndeclared)
-{
-    const VoltageModel vm;
-    FaultMap map(64, 720, vm, 3);
-    map.setVoltage(0.6);
-    map.setVoltage(0.7); // no declaration -> raising stays legal
-    EXPECT_DOUBLE_EQ(map.voltage(), 0.7);
 }
 
 } // namespace

@@ -1189,7 +1189,7 @@ TEST(ServeIntegration, WarmStoreSharesOneDieAcrossDistinctJobs)
     // Two jobs that differ only in their workload subset miss the
     // result cache (different canonical keys) but describe the same
     // die — the population must be synthesized exactly once and
-    // adopted by every other sweep point of either job.
+    // adopted by the other job.
     Loopback lo;
     ScopedLogCapture quiet;
     Json first, second;
@@ -1211,10 +1211,10 @@ TEST(ServeIntegration, WarmStoreSharesOneDieAcrossDistinctJobs)
     Json reply;
     ASSERT_TRUE(lo.client.recvWithin(reply, 10000));
     const Json &warm = reply.at("stats").at("warm_store");
-    // Four sweep points ran (baseline + DECTED, twice); one
-    // synthesis, three warm adoptions.
+    // Each campaign consults the store once: one synthesis for the
+    // first job, one warm adoption for the second.
     EXPECT_EQ(warm.at("misses").asInt(), 1);
-    EXPECT_EQ(warm.at("hits").asInt(), 3);
+    EXPECT_EQ(warm.at("hits").asInt(), 1);
     EXPECT_EQ(warm.at("insertions").asInt(), 1);
     EXPECT_EQ(warm.at("entries").asInt(), 1);
     EXPECT_GT(warm.at("bytes").asInt(), 0);
@@ -1247,18 +1247,17 @@ TEST(ServeIntegration, WarmBackedSweepMatchesColdRecordingAndReplays)
             WarmStore::faultMapKey(wopt.scenario, numLines,
                                    lineBits),
             [&model, numLines, lineBits] {
-                return model.buildMap(numLines, lineBits)
-                    ->population();
+                return model.samplePopulation(numLines, lineBits);
             });
     };
     const SweepResult warmRes = runEvaluationSweep(wopt);
     EXPECT_EQ(
         sweepToJson(opt, warmRes).at("workloads").toString(0),
         coldWorkloads);
-    // Both points (baseline + DECTED) consulted the store; one
-    // synthesis.
+    // The campaign consulted the store once, before its two points
+    // (baseline + DECTED) ran: one synthesis, no hit.
     EXPECT_EQ(store.stats().misses, 1u);
-    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().hits, 0u);
 
     // The cold recording replays bit-identically — and the replay
     // path samples cold by construction (replaySweep never merges a
