@@ -84,6 +84,12 @@ class PrecharacterizedScheme : public ProtectionScheme
     std::vector<bool> enabled;
     /** Stored checkbits, materialized only for faulty lines. */
     std::vector<BitVec> checkStore;
+
+    /** Interned stat handles (StatGroup's nodes are address-stable). */
+    Counter *cReads = nullptr;
+    Counter *cCorrections = nullptr;
+    Counter *cErrorMisses = nullptr;
+    Counter *cDisabledLines = nullptr;
 };
 
 /** SECDED per line + disable bit (the paper's area yardstick). */

@@ -7,8 +7,10 @@
 #ifndef KILLI_CACHE_GEOMETRY_HH
 #define KILLI_CACHE_GEOMETRY_HH
 
+#include <bit>
 #include <cstddef>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace killi
@@ -63,6 +65,51 @@ struct CacheGeometry
     {
         return set * assoc + way;
     }
+};
+
+/**
+ * Shift/mask form of CacheGeometry::setOf/tagOf for the per-probe
+ * paths of the L1 and L2, precomputed once. Requires power-of-two
+ * line size and set count (fatal otherwise); for those it returns
+ * exactly what CacheGeometry computes by division.
+ */
+class SetIndex
+{
+  public:
+    SetIndex(const CacheGeometry &geom, const char *owner)
+    {
+        const std::size_t sets = geom.numSets();
+        if (!std::has_single_bit(geom.lineBytes) ||
+            !std::has_single_bit(sets)) {
+            fatal("%s: line size %u and set count %zu must be powers "
+                  "of two", owner, geom.lineBytes, sets);
+        }
+        setShift = static_cast<unsigned>(std::countr_zero(geom.lineBytes));
+        tagShift = setShift +
+                   static_cast<unsigned>(std::countr_zero(sets));
+        setMask = sets - 1;
+    }
+
+    std::size_t
+    setOf(Addr addr) const
+    {
+        return static_cast<std::size_t>(addr >> setShift) & setMask;
+    }
+
+    Addr tagOf(Addr addr) const { return addr >> tagShift; }
+
+    /** Inverse of (setOf, tagOf): the line address of a resident
+     *  line. */
+    Addr
+    lineAddr(Addr tag, std::size_t set) const
+    {
+        return (tag << tagShift) | (Addr{set} << setShift);
+    }
+
+  private:
+    unsigned setShift = 0;
+    unsigned tagShift = 0;
+    std::size_t setMask = 0;
 };
 
 } // namespace killi

@@ -4,17 +4,18 @@ namespace killi
 {
 
 L1Cache::L1Cache(const CacheGeometry &geometry)
-    : geom(geometry), lines(geometry.numLines())
+    : geom(geometry), index(geometry, "L1Cache"),
+      lines(geometry.numLines())
 {
-    statGroup.counter("hits", "L1 load hits");
-    statGroup.counter("misses", "L1 load misses");
+    cHits = &statGroup.counter("hits", "L1 load hits");
+    cMisses = &statGroup.counter("misses", "L1 load misses");
 }
 
 L1Cache::Line *
 L1Cache::findLine(Addr addr)
 {
-    const std::size_t set = geom.setOf(addr);
-    const Addr tag = geom.tagOf(addr);
+    const std::size_t set = index.setOf(addr);
+    const Addr tag = index.tagOf(addr);
     for (unsigned way = 0; way < geom.assoc; ++way) {
         Line &line = lines[geom.lineId(set, way)];
         if (line.valid && line.tag == tag)
@@ -28,17 +29,17 @@ L1Cache::lookup(Addr addr)
 {
     if (Line *line = findLine(addr)) {
         line->lastUse = ++useCounter;
-        ++statGroup.counter("hits");
+        ++*cHits;
         return true;
     }
-    ++statGroup.counter("misses");
+    ++*cMisses;
     return false;
 }
 
 void
 L1Cache::fill(Addr addr)
 {
-    const std::size_t set = geom.setOf(addr);
+    const std::size_t set = index.setOf(addr);
     Line *victim = nullptr;
     for (unsigned way = 0; way < geom.assoc; ++way) {
         Line &line = lines[geom.lineId(set, way)];
@@ -50,7 +51,7 @@ L1Cache::fill(Addr addr)
             victim = &line;
     }
     victim->valid = true;
-    victim->tag = geom.tagOf(addr);
+    victim->tag = index.tagOf(addr);
     victim->lastUse = ++useCounter;
 }
 

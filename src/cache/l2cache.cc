@@ -10,10 +10,13 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
                  const CacheGeometry &geom_, const L2Params &params,
                  FaultMap *fault_map)
     : eq(eq_), dram(dram_), golden(golden_), protection(protection_),
-      geometry(geom_), p(params), trace(params.trace),
-      faultMap(fault_map), upsetRng(params.softErrorSeed),
-      lines(geom_.numLines()), bankFree(geom_.banks, 0),
-      mshrs(geom_.banks)
+      geometry(geom_), index(geom_, "L2Cache"), p(params),
+      trace(params.trace), faultMap(fault_map),
+      upsetRng(params.softErrorSeed), lines(geom_.numLines()),
+      lineData(geom_.numLines()), bankFree(geom_.banks, 0),
+      mshrAddr(std::size_t{geom_.banks} * params.mshrsPerBank,
+               kFreeMshr),
+      mshrWaiters(mshrAddr.size())
 {
     if (p.softErrorRatePerBitCycle > 0.0 && !faultMap)
         fatal("L2Cache: soft-error injection needs a FaultMap");
@@ -58,11 +61,10 @@ L2Cache::writebackIfDirty(std::size_t lineId, Line &line)
     if (!line.dirty)
         return;
     line.dirty = false;
-    const std::size_t set = lineId / geometry.assoc;
     const Addr lineAddr =
-        (line.tag * geometry.numSets() + set) * geometry.lineBytes;
+        index.lineAddr(line.tag, lineId / geometry.assoc);
     const WritebackOutcome wb =
-        protection.onWriteback(lineId, line.data);
+        protection.onWriteback(lineId, lineData[lineId]);
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.writeback",
            {"line", lineId}, {"clean", wb.clean});
     if (!wb.clean)
@@ -81,15 +83,16 @@ L2Cache::sampleUpsets(std::size_t lineId, Line &line)
     const Tick now = eq.curTick();
     if (now <= line.upsetCheckedAt)
         return;
+    const std::size_t bits = lineData[lineId].size();
     const double window =
-        double(now - line.upsetCheckedAt) * double(line.data.size());
+        double(now - line.upsetCheckedAt) * double(bits);
     line.upsetCheckedAt = now;
     const RngStreamScope stream("transient");
     const unsigned events =
         upsetRng.poisson(window * p.softErrorRatePerBitCycle);
     for (unsigned e = 0; e < events; ++e) {
         const std::uint16_t bit = static_cast<std::uint16_t>(
-            upsetRng.below(line.data.size()));
+            upsetRng.below(bits));
         faultMap->injectTransient(lineId, bit);
         KTRACE(trace, now, TraceCat::Error, "error.soft_error",
                {"line", lineId}, {"bit", std::uint64_t(bit)});
@@ -98,7 +101,7 @@ L2Cache::sampleUpsets(std::size_t lineId, Line &line)
             // Multi-bit event in adjacent cells (Maiz et al.): the
             // case interleaved parity is built for.
             const std::uint16_t neighbour = static_cast<std::uint16_t>(
-                bit + 1 < line.data.size() ? bit + 1 : bit - 1);
+                bit + 1u < bits ? bit + 1 : bit - 1);
             faultMap->injectTransient(lineId, neighbour);
             ++*cSoftErrors;
         }
@@ -121,7 +124,7 @@ L2Cache::maybeMaintain()
 Tick
 L2Cache::reserveBank(Addr lineAddr, Tick earliest)
 {
-    Tick &free = bankFree[geometry.bankOf(lineAddr)];
+    Tick &free = bankFree[bankOf(lineAddr)];
     const Tick start = std::max(earliest, free);
     free = start + p.bankOccupancy;
     return start;
@@ -130,15 +133,15 @@ L2Cache::reserveBank(Addr lineAddr, Tick earliest)
 void
 L2Cache::chargeBank(Addr lineAddr, Cycle cost)
 {
-    Tick &free = bankFree[geometry.bankOf(lineAddr)];
+    Tick &free = bankFree[bankOf(lineAddr)];
     free = std::max(free, eq.curTick()) + cost;
 }
 
 L2Cache::Line *
 L2Cache::findLine(Addr lineAddr, std::size_t &lineIdOut)
 {
-    const std::size_t set = geometry.setOf(lineAddr);
-    const Addr tag = geometry.tagOf(lineAddr);
+    const std::size_t set = index.setOf(lineAddr);
+    const Addr tag = index.tagOf(lineAddr);
     for (unsigned way = 0; way < geometry.assoc; ++way) {
         const std::size_t id = geometry.lineId(set, way);
         Line &line = lines[id];
@@ -162,7 +165,7 @@ L2Cache::read(Addr addr, RespCb cb)
 }
 
 void
-L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
+L2Cache::handleReadTag(Addr lineAddr, RespCb &&cb)
 {
     maybeMaintain();
     std::size_t lineId = npos;
@@ -177,7 +180,8 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
         return;
     }
 
-    const AccessResult res = protection.onReadHit(lineId, line->data);
+    const AccessResult res =
+        protection.onReadHit(lineId, lineData[lineId]);
     if (res.errorInducedMiss) {
         ++*cErrorMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.error_miss",
@@ -208,20 +212,26 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
     protection.onTouch(lineId);
     const Tick respTime =
         eq.curTick() + p.dataLatency + res.extraLatency;
-    eq.schedule(respTime,
-                [cb = std::move(cb), respTime] { cb(respTime); });
+    eq.schedule(respTime, [cb = std::move(cb), respTime]() mutable {
+        cb(respTime);
+    });
 }
 
 void
-L2Cache::startMiss(Addr lineAddr, RespCb cb, Cycle extraDelay)
+L2Cache::startMiss(Addr lineAddr, RespCb &&cb, Cycle extraDelay)
 {
-    auto &table = mshrs[geometry.bankOf(lineAddr)];
-    const auto it = table.find(lineAddr);
-    if (it != table.end()) {
-        it->second.push_back(std::move(cb));
-        return;
+    const std::size_t first =
+        std::size_t{bankOf(lineAddr)} * p.mshrsPerBank;
+    std::size_t freeEntry = npos;
+    for (std::size_t e = first; e < first + p.mshrsPerBank; ++e) {
+        if (mshrAddr[e] == lineAddr) {
+            mshrWaiters[e].push_back(std::move(cb));
+            return;
+        }
+        if (freeEntry == npos && mshrAddr[e] == kFreeMshr)
+            freeEntry = e;
     }
-    if (table.size() >= p.mshrsPerBank) {
+    if (freeEntry == npos) {
         ++*cMshrRetries;
         eq.scheduleIn(p.mshrRetryDelay,
                       [this, lineAddr, cb = std::move(cb),
@@ -230,35 +240,38 @@ L2Cache::startMiss(Addr lineAddr, RespCb cb, Cycle extraDelay)
                       });
         return;
     }
-    table[lineAddr].push_back(std::move(cb));
+    mshrAddr[freeEntry] = lineAddr;
+    mshrWaiters[freeEntry].push_back(std::move(cb));
     const Tick done =
         dram.access(lineAddr, false, eq.curTick() + extraDelay);
-    eq.schedule(done, [this, lineAddr] { finishFill(lineAddr); });
+    eq.schedule(done, [this, freeEntry] { finishFill(freeEntry); });
 }
 
 void
-L2Cache::finishFill(Addr lineAddr)
+L2Cache::finishFill(std::size_t mshr)
 {
-    auto &table = mshrs[geometry.bankOf(lineAddr)];
-    const auto it = table.find(lineAddr);
-    if (it == table.end())
+    const Addr lineAddr = mshrAddr[mshr];
+    if (lineAddr == kFreeMshr)
         panic("L2Cache: fill without MSHR entry");
-    std::vector<RespCb> waiters = std::move(it->second);
-    table.erase(it);
+    mshrAddr[mshr] = kFreeMshr;
 
     allocate(lineAddr);
 
     const Tick respTime = eq.curTick() + p.dataLatency;
+    std::vector<RespCb> &waiters = mshrWaiters[mshr];
     for (auto &cb : waiters) {
         eq.schedule(respTime,
-                    [cb = std::move(cb), respTime] { cb(respTime); });
+                    [cb = std::move(cb), respTime]() mutable {
+                        cb(respTime);
+                    });
     }
+    waiters.clear();
 }
 
 std::size_t
 L2Cache::allocate(Addr lineAddr)
 {
-    const std::size_t set = geometry.setOf(lineAddr);
+    const std::size_t set = index.setOf(lineAddr);
 
     // Evicting a victim can change its allocatability: training a
     // dying b'01 line may disable it (Killi Table 2). Retry victim
@@ -300,7 +313,7 @@ L2Cache::allocate(Addr lineAddr)
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.evict",
                    {"line", victimId});
             const Cycle cost =
-                protection.onEvict(victimId, victim.data);
+                protection.onEvict(victimId, lineData[victimId]);
             if (cost)
                 chargeBank(lineAddr, cost);
             writebackIfDirty(victimId, victim);
@@ -312,14 +325,15 @@ L2Cache::allocate(Addr lineAddr)
 
         victim.valid = true;
         victim.dirty = false;
-        victim.tag = geometry.tagOf(lineAddr);
+        victim.tag = index.tagOf(lineAddr);
         victim.version = golden.version(lineAddr);
-        victim.data = golden.data(lineAddr, victim.version);
+        golden.dataInto(lineAddr, victim.version, lineData[victimId]);
         victim.lastUse = ++useCounter;
         victim.upsetCheckedAt = eq.curTick();
         if (faultMap)
             faultMap->clearTransients(victimId); // cells rewritten
-        const Cycle fillCost = protection.onFill(victimId, victim.data);
+        const Cycle fillCost =
+            protection.onFill(victimId, lineData[victimId]);
         if (fillCost)
             chargeBank(lineAddr, fillCost);
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.fill",
@@ -354,7 +368,7 @@ L2Cache::write(Addr addr)
             }
             Line &fresh = lines[allocated];
             fresh.dirty = true;
-            protection.onWriteHit(allocated, fresh.data);
+            protection.onWriteHit(allocated, lineData[allocated]);
             return;
         }
         if (line) {
@@ -362,14 +376,14 @@ L2Cache::write(Addr addr)
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
                    {"line", lineId});
             line->version = golden.version(lineAddr);
-            line->data = golden.data(lineAddr, line->version);
+            golden.dataInto(lineAddr, line->version, lineData[lineId]);
             line->lastUse = ++useCounter;
             line->upsetCheckedAt = eq.curTick();
             if (faultMap)
                 faultMap->clearTransients(lineId); // cells rewritten
             if (p.writePolicy == WritePolicy::WriteBack)
                 line->dirty = true;
-            protection.onWriteHit(lineId, line->data);
+            protection.onWriteHit(lineId, lineData[lineId]);
         } else {
             ++*cWriteMisses;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_miss",
@@ -389,10 +403,9 @@ L2Cache::invalidateLine(std::size_t lineId)
     // Losing the line is an eviction from the scheme's perspective:
     // give it the chance to classify the dying data (Killi trains
     // its DFH bits on the read-out, §4.4).
-    const std::size_t set = lineId / geometry.assoc;
     const Addr lineAddr =
-        (line.tag * geometry.numSets() + set) * geometry.lineBytes;
-    const Cycle cost = protection.onEvict(lineId, line.data);
+        index.lineAddr(line.tag, lineId / geometry.assoc);
+    const Cycle cost = protection.onEvict(lineId, lineData[lineId]);
     if (cost)
         chargeBank(lineAddr, cost);
     writebackIfDirty(lineId, line);
@@ -407,8 +420,8 @@ bool
 L2Cache::isCached(Addr addr) const
 {
     const Addr lineAddr = geometry.lineAddr(addr);
-    const std::size_t set = geometry.setOf(lineAddr);
-    const Addr tag = geometry.tagOf(lineAddr);
+    const std::size_t set = index.setOf(lineAddr);
+    const Addr tag = index.tagOf(lineAddr);
     for (unsigned way = 0; way < geometry.assoc; ++way) {
         const Line &line = lines[geometry.lineId(set, way)];
         if (line.valid && line.tag == tag)

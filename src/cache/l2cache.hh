@@ -16,8 +16,6 @@
 #ifndef KILLI_CACHE_L2CACHE_HH
 #define KILLI_CACHE_L2CACHE_HH
 
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -29,6 +27,7 @@
 #include "sim/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/golden.hh"
+#include "sim/inline_callable.hh"
 #include "trace/trace.hh"
 
 namespace killi
@@ -76,8 +75,11 @@ struct L2Params
 class L2Cache : public L2Backdoor
 {
   public:
-    /** Completion callback: invoked at the response tick. */
-    using RespCb = std::function<void(Tick)>;
+    /**
+     * Completion callback: invoked at the response tick. Inline
+     * capacity fits a compute unit's read continuation.
+     */
+    using RespCb = InlineCallable<void(Tick), 48>;
 
     /**
      * @param fault_map optional: required only for soft-error
@@ -109,13 +111,13 @@ class L2Cache : public L2Backdoor
     const StatGroup &stats() const { return statGroup; }
 
   private:
+    /** Tag-array state; the payload lives in lineData. */
     struct Line
     {
         Addr tag = 0;
         bool valid = false;
         bool dirty = false;
         std::uint32_t version = 0;
-        BitVec data{0};
         std::uint64_t lastUse = 0;
         /** Residency time already covered by upset sampling. */
         Tick upsetCheckedAt = 0;
@@ -138,13 +140,14 @@ class L2Cache : public L2Backdoor
     void chargeBank(Addr lineAddr, Cycle cost);
 
     /** Tag-array outcome for a load. */
-    void handleReadTag(Addr lineAddr, RespCb cb);
+    void handleReadTag(Addr lineAddr, RespCb &&cb);
 
     /** Begin the miss path (demand or error-induced). */
-    void startMiss(Addr lineAddr, RespCb cb, Cycle extraDelay);
+    void startMiss(Addr lineAddr, RespCb &&cb, Cycle extraDelay);
 
-    /** Memory response: allocate and notify waiters. */
-    void finishFill(Addr lineAddr);
+    /** Memory response for MSHR entry @p mshr: allocate and notify
+     *  its waiters. */
+    void finishFill(std::size_t mshr);
 
     /** Pick and prepare a victim way; returns line id or npos. */
     std::size_t allocate(Addr lineAddr);
@@ -152,13 +155,24 @@ class L2Cache : public L2Backdoor
     /** Locate a resident line; returns nullptr on miss. */
     Line *findLine(Addr lineAddr, std::size_t &lineIdOut);
 
+    /** Bank of @p lineAddr (set-interleaved, as CacheGeometry). */
+    unsigned
+    bankOf(Addr lineAddr) const
+    {
+        return static_cast<unsigned>(index.setOf(lineAddr) %
+                                     geometry.banks);
+    }
+
     static constexpr std::size_t npos = ~std::size_t{0};
+    /** mshrAddr value of a free MSHR entry (never line-aligned). */
+    static constexpr Addr kFreeMshr = ~Addr{0};
 
     EventQueue &eq;
     DramModel &dram;
     GoldenMemory &golden;
     ProtectionScheme &protection;
     CacheGeometry geometry;
+    SetIndex index;
     L2Params p;
     TraceSink *trace;
     FaultMap *faultMap;
@@ -166,9 +180,18 @@ class L2Cache : public L2Backdoor
     Tick lastMaintenance = 0;
 
     std::vector<Line> lines;
+    /** Line payloads, parallel to lines; sized on first fill and
+     *  rewritten in place afterwards. */
+    std::vector<BitVec> lineData;
     std::vector<Tick> bankFree;
-    /** Per-bank outstanding misses keyed by line address. */
-    std::vector<std::unordered_map<Addr, std::vector<RespCb>>> mshrs;
+    /**
+     * Outstanding misses: mshrsPerBank entries per bank, bank-major.
+     * mshrAddr holds each entry's line address (kFreeMshr when free);
+     * mshrWaiters its merged reads in arrival order. Waiter vectors
+     * are cleared, never freed, so their capacity is reused.
+     */
+    std::vector<Addr> mshrAddr;
+    std::vector<std::vector<RespCb>> mshrWaiters;
     std::uint64_t useCounter = 0;
     StatGroup statGroup;
 

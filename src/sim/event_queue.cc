@@ -1,13 +1,15 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/replay_probe.hh"
 
 namespace killi
 {
 
-void
-EventQueue::schedule(Tick when, Callback cb, int priority)
+std::uint32_t
+EventQueue::enqueue(Tick when, int priority)
 {
     if (when < now)
         panic("EventQueue: scheduling into the past (%llu < %llu)",
@@ -15,7 +17,16 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
               static_cast<unsigned long long>(now));
     KTRACE(trace, now, TraceCat::Sim, "sim.schedule", {"when", when},
            {"priority", priority});
-    heap.push(Event{when, priority, seqCounter++, std::move(cb)});
+    std::uint32_t slot = static_cast<std::uint32_t>(slots.size());
+    if (freeSlots.empty()) {
+        slots.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    heap.push_back(Key{when, seqCounter++, priority, slot});
+    std::push_heap(heap.begin(), heap.end(), Later{});
+    return slot;
 }
 
 void
@@ -30,7 +41,7 @@ bool
 EventQueue::run(Tick limit)
 {
     while (!heap.empty()) {
-        const Tick nextEvent = heap.top().when;
+        const Tick nextEvent = heap.front().when;
         if (periodicCb && nextPeriodic <= nextEvent &&
             nextPeriodic <= limit) {
             now = nextPeriodic;
@@ -44,10 +55,9 @@ EventQueue::run(Tick limit)
             now = limit;
             return false;
         }
-        // Move the callback out before popping so that the callback
-        // may schedule further events safely.
-        Event ev = heap.top();
-        heap.pop();
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        const Key ev = heap.back();
+        heap.pop_back();
         // The determinism contract (see the header): pops are
         // strictly increasing in (when, priority, seq). Checked
         // unconditionally — assert() is dead under the default
@@ -75,7 +85,12 @@ EventQueue::run(Tick limit)
             probe->onEventPop(ev.when, ev.priority, ev.seq);
         now = ev.when;
         ++executed;
-        ev.cb();
+        // Move the callback out and free its slot before invoking it,
+        // so the callback may schedule further events (which may
+        // reuse the slot or grow the slab).
+        Callback cb = std::move(slots[ev.slot]);
+        freeSlots.push_back(ev.slot);
+        cb();
     }
     return true;
 }

@@ -4,6 +4,11 @@
  * event queue: events are (tick, priority, insertion-order)-ordered
  * callbacks.
  *
+ * Storage: callbacks are InlineCallables held in a slab of reusable
+ * slots (a free list recycles them); the binary heap orders only
+ * 24-byte (when, priority, seq, slot) keys. In steady state neither
+ * schedule() nor run() touches the allocator.
+ *
  * Determinism contract: events pop in strictly increasing
  * (when, priority, seq) lexicographic order — same-tick events run
  * in ascending priority, and same-tick same-priority events run in
@@ -19,11 +24,10 @@
 #define KILLI_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/inline_callable.hh"
 #include "trace/trace.hh"
 
 namespace killi
@@ -32,7 +36,11 @@ namespace killi
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * Inline capacity fits the largest simulator capture: the L2's
+     * MSHR retry, which carries a whole L2Cache::RespCb.
+     */
+    using Callback = InlineCallable<void(), 80>;
 
     /** Current simulated time. */
     Tick curTick() const { return now; }
@@ -45,15 +53,22 @@ class EventQueue
 
     /**
      * Schedule @p cb at absolute time @p when (>= curTick()).
-     * Lower @p priority runs earlier within a tick.
+     * Lower @p priority runs earlier within a tick. @p cb is any
+     * callable that fits a Callback; it is built directly in its slot.
      */
-    void schedule(Tick when, Callback cb, int priority = 0);
+    template <typename F>
+    void
+    schedule(Tick when, F &&cb, int priority = 0)
+    {
+        slots[enqueue(when, priority)] = std::forward<F>(cb);
+    }
 
     /** Schedule @p cb @p delta ticks from now. */
+    template <typename F>
     void
-    scheduleIn(Tick delta, Callback cb, int priority = 0)
+    scheduleIn(Tick delta, F &&cb, int priority = 0)
     {
-        schedule(now + delta, std::move(cb), priority);
+        schedule(now + delta, std::forward<F>(cb), priority);
     }
 
     /**
@@ -75,17 +90,19 @@ class EventQueue
     bool run(Tick limit = kMaxTick);
 
   private:
-    struct Event
+    /** Heap entry: the event's order plus the slot holding its
+     *  callback. */
+    struct Key
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
-        Callback cb;
+        int priority;
+        std::uint32_t slot;
     };
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -104,11 +121,19 @@ class EventQueue
         std::uint64_t seq = 0;
     };
 
+    /** Check @p when, take a free slot and push its key; returns the
+     *  slot the caller must fill before the next run() step. */
+    std::uint32_t enqueue(Tick when, int priority);
+
     Tick now = 0;
     std::uint64_t seqCounter = 0;
     std::uint64_t executed = 0;
     PopOrder lastPop;
-    std::priority_queue<Event, std::vector<Event>, Later> heap;
+    /** Binary min-heap (std::push_heap/pop_heap under Later). */
+    std::vector<Key> heap;
+    /** Callback slab; a slot is empty iff it is on freeSlots. */
+    std::vector<Callback> slots;
+    std::vector<std::uint32_t> freeSlots;
     Tick periodicInterval = 0;
     Tick nextPeriodic = 0;
     Callback periodicCb;

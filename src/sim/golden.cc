@@ -16,16 +16,17 @@ mix(std::uint64_t z)
 }
 } // namespace
 
-BitVec
-GoldenMemory::data(Addr lineAddr, std::uint32_t ver) const
+void
+GoldenMemory::dataInto(Addr lineAddr, std::uint32_t ver,
+                       BitVec &out) const
 {
-    BitVec value(lineBits());
+    if (out.size() != lineBits())
+        out = BitVec(lineBits());
     std::uint64_t state = mix(lineAddr * 0x2545f4914f6cdd1dULL + ver);
-    for (std::size_t w = 0; w < value.numWords(); ++w) {
+    for (std::size_t w = 0; w < out.numWords(); ++w) {
         state = mix(state);
-        value.setWord(w, state);
+        out.setWord(w, state);
     }
-    return value;
 }
 
 } // namespace killi

@@ -49,7 +49,17 @@ class GoldenMemory
     }
 
     /** The (deterministic) content of @p lineAddr at @p ver. */
-    BitVec data(Addr lineAddr, std::uint32_t ver) const;
+    BitVec
+    data(Addr lineAddr, std::uint32_t ver) const
+    {
+        BitVec value;
+        dataInto(lineAddr, ver, value);
+        return value;
+    }
+
+    /** data(@p lineAddr, @p ver) written into @p out, reusing its
+     *  buffer when it already has lineBits() bits. */
+    void dataInto(Addr lineAddr, std::uint32_t ver, BitVec &out) const;
 
     /** Content at the line's current version. */
     BitVec

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cache/l1cache.hh"
 #include "cache/l2cache.hh"
@@ -179,6 +180,42 @@ TEST(L1CacheTest, FlushDropsEverything)
     EXPECT_FALSE(l1.lookup(0x1000));
 }
 
+TEST(CacheIndexTest, ShiftMaskMatchesGeometryDivision)
+{
+    const CacheGeometry geoms[] = {tinyGeom(),
+                                   CacheGeometry{16 * 1024, 4, 64, 1},
+                                   CacheGeometry{}};
+    for (const CacheGeometry &g : geoms) {
+        const SetIndex index(g, "test");
+        for (Addr addr = 0; addr < (Addr{1} << 40);
+             addr = addr * 3 + 0x1234567) {
+            const Addr line = g.lineAddr(addr);
+            EXPECT_EQ(index.setOf(addr), g.setOf(addr));
+            EXPECT_EQ(index.tagOf(addr), g.tagOf(addr));
+            EXPECT_EQ(index.lineAddr(g.tagOf(line), g.setOf(line)),
+                      line);
+        }
+    }
+}
+
+TEST(CacheIndexDeathTest, NonPowerOfTwoGeometryIsFatal)
+{
+    // 3 sets of 4 ways, 64B lines.
+    EXPECT_DEATH(L1Cache(CacheGeometry{3 * 4 * 64, 4, 64, 1}),
+                 "L1Cache: .*powers of two");
+    // 48B lines.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            GoldenMemory golden(48);
+            DramModel dram(DramParams{});
+            MockProtection prot;
+            L2Cache l2(eq, dram, golden, prot,
+                       CacheGeometry{48 * 4 * 32, 4, 48, 2}, L2Params{});
+        },
+        "L2Cache: .*powers of two");
+}
+
 TEST(L2CacheTest, MissThenHitCounters)
 {
     L2Fixture f;
@@ -212,6 +249,49 @@ TEST(L2CacheTest, MshrMergesConcurrentMisses)
     EXPECT_EQ(responses, 3);
     EXPECT_EQ(f.dram.reads(), 1u);
     EXPECT_EQ(f.prot.fills, 1u);
+}
+
+TEST(L2CacheTest, FullMshrRetriesAndKeepsWaiterOrder)
+{
+    // One MSHR per bank: a miss to a second line of the same bank
+    // finds the file full and replays after mshrRetryDelay. The delay
+    // outlasts the first fill, so exactly one retry happens.
+    L2Params params;
+    params.mshrsPerBank = 1;
+    params.mshrRetryDelay = 1000;
+    EventQueue eq;
+    GoldenMemory golden;
+    DramModel dram(DramParams{});
+    MockProtection prot;
+    L2Cache l2(eq, dram, golden, prot, tinyGeom(), params);
+    const Addr lineA = 0x0000; // set 0, bank 0
+    const Addr lineB = 0x0080; // set 2, bank 0
+    ASSERT_EQ(tinyGeom().bankOf(lineA), tinyGeom().bankOf(lineB));
+
+    std::vector<int> order;
+    std::vector<Tick> whenA;
+    Tick whenB = 0;
+    for (int i = 1; i <= 3; ++i) {
+        l2.read(lineA + 4 * i, [&, i](Tick t) {
+            order.push_back(i);
+            whenA.push_back(t);
+        });
+    }
+    l2.read(lineB, [&](Tick t) { whenB = t; });
+    eq.run();
+
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    ASSERT_EQ(whenA.size(), 3u);
+    EXPECT_EQ(whenA[0], whenA[1]);
+    EXPECT_EQ(whenA[1], whenA[2]);
+    EXPECT_EQ(l2.stats().counterValue("mshr_retries"), 1u);
+    EXPECT_EQ(l2.stats().counterValue("read_misses"), 4u);
+    EXPECT_EQ(dram.reads(), 2u);
+    // B's DRAM read starts only after the retry delay.
+    EXPECT_GE(whenB, params.mshrRetryDelay + DramParams{}.latency);
+    EXPECT_GT(whenB, whenA[0]);
+    EXPECT_TRUE(l2.isCached(lineA));
+    EXPECT_TRUE(l2.isCached(lineB));
 }
 
 TEST(L2CacheTest, WriteThroughUpdatesMemoryAndLine)

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "sim/dram.hh"
@@ -14,6 +19,57 @@
 #include "sim/golden.hh"
 
 using namespace killi;
+
+// Counting replacements for the global allocation functions, so a
+// test can assert that a code path never reaches the heap. Every
+// non-aligned form is replaced, so new and delete stay paired on
+// malloc/free (also under sanitizers that intercept malloc).
+namespace
+{
+std::atomic<std::uint64_t> heapAllocations{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+countedAllocOrThrow(std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+} // namespace
+
+void *operator new(std::size_t n) { return countedAllocOrThrow(n); }
+void *operator new[](std::size_t n) { return countedAllocOrThrow(n); }
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 TEST(EventQueueTest, ExecutesInTimeOrder)
 {
@@ -131,6 +187,118 @@ TEST(EventQueueTest, SchedulingIntoThePastPanics)
     eq.schedule(10, [&] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(5, [] {}), "");
+}
+
+TEST(EventQueueTest, MoveOnlyCaptureSchedulesAndRuns)
+{
+    EventQueue eq;
+    int seen = 0;
+    auto payload = std::make_unique<int>(42);
+    eq.schedule(3, [&seen, p = std::move(payload)] { seen = *p; });
+    eq.run();
+    EXPECT_EQ(seen, 42);
+}
+
+TEST(EventQueueTest, CapturedStateIsDestroyedExactlyOnce)
+{
+    const auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        for (Tick t = 1; t <= 4; ++t)
+            eq.schedule(t, [token] { ++*token; });
+        EXPECT_EQ(token.use_count(), 5);
+        eq.run();
+        EXPECT_EQ(*token, 4);
+        EXPECT_EQ(token.use_count(), 1);
+
+        // Pending events still own their captures until the queue
+        // goes away.
+        eq.schedule(100, [token] { ++*token; });
+        eq.schedule(200, [token] { ++*token; });
+        EXPECT_FALSE(eq.run(150));
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(*token, 5);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueTest, PeriodicNullUninstalls)
+{
+    EventQueue eq;
+    const auto token = std::make_shared<int>(0);
+    eq.setPeriodic(10, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    eq.setPeriodic(0, nullptr);
+    EXPECT_EQ(token.use_count(), 1);
+    eq.schedule(35, [] {});
+    eq.run();
+    EXPECT_EQ(*token, 0);
+}
+
+TEST(EventQueueTest, SameTickBurstPopsInSeqOrder)
+{
+    // 10K events scheduled at the current tick from inside a callback
+    // exercise deep heap sifts; they must still pop in seq order.
+    constexpr int kEvents = 10000;
+    EventQueue eq;
+    std::vector<int> order;
+    order.reserve(kEvents);
+    eq.schedule(7, [&] {
+        for (int i = 0; i < kEvents; ++i)
+            eq.schedule(7, [&order, i] { order.push_back(i); });
+    });
+    eq.run();
+    ASSERT_EQ(order.size(), std::size_t(kEvents));
+    for (int i = 0; i < kEvents; ++i)
+        ASSERT_EQ(order[i], i);
+    EXPECT_EQ(eq.curTick(), 7u);
+}
+
+namespace
+{
+
+/** Self-rescheduling event shaped like a CU continuation: 24 bytes
+ *  of captured state, a few lanes in flight at once. */
+struct Hop
+{
+    EventQueue *eq;
+    std::uint64_t *remaining;
+    unsigned lane;
+
+    void
+    operator()() const
+    {
+        if (*remaining == 0)
+            return;
+        --*remaining;
+        eq->scheduleIn(1 + lane % 3, *this, int(lane % 2));
+    }
+};
+
+} // namespace
+
+TEST(EventQueueTest, SteadyStateIsAllocationFree)
+{
+    constexpr unsigned kLanes = 64;
+    EventQueue eq;
+    std::uint64_t remaining = 0;
+    const auto cycle = [&] {
+        remaining = 10000;
+        for (unsigned lane = 0; lane < kLanes; ++lane)
+            eq.scheduleIn(1, Hop{&eq, &remaining, lane});
+        eq.run();
+    };
+    const std::uint64_t start = heapAllocations.load();
+    cycle(); // warm-up: grows the slab, the free list and the heap
+    // The counter is live: growing the queue's storage allocates.
+    EXPECT_GT(heapAllocations.load(), start);
+
+    const std::uint64_t before = heapAllocations.load();
+    const std::uint64_t eventsBefore = eq.eventsExecuted();
+    cycle();
+    const std::uint64_t allocations = heapAllocations.load() - before;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(eq.eventsExecuted() - eventsBefore, 10000u + kLanes);
 }
 
 TEST(DramTest, LatencyApplied)
