@@ -21,143 +21,8 @@
 #include "bench/sweep.hh"
 #include "common/log.hh"
 #include "common/table.hh"
-#include "replay/recording.hh"
-#include "replay/session.hh"
-#include "serve/client/client.hh"
 
 using namespace killi;
-
-namespace
-{
-
-std::string
-joinList(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const std::string &name : names)
-        out += (out.empty() ? "" : ",") + name;
-    return out;
-}
-
-/**
- * The `server=` path: ship the sweep to a kserved daemon instead of
- * running it in-process. The daemon replies with the same result
- * document this binary would have written (repeat runs come back
- * from its content-addressed cache instantly), so the table below
- * and the results file are identical either way.
- */
-int
-runRemote(const SweepOptions &opt, const std::string &socketPath,
-          unsigned port)
-{
-    serve::Client client;
-    std::string err;
-    const bool connected =
-        !socketPath.empty()
-            ? client.connectUnix(socketPath, &err)
-            : client.connectTcp(std::uint16_t(port), &err);
-    if (!connected)
-        fatal("fig4_performance: %s", err.c_str());
-
-    Json options = Json::object();
-    options.set("scale", Json::number(opt.scale));
-    options.set("warmup",
-                Json::number(std::uint64_t(opt.warmupPasses)));
-    // The resolved scenario already folds in any voltage=/seed=
-    // overrides, so it is the complete fault configuration.
-    options.set("scenario", opt.scenario.toJson());
-    options.set("stats_interval",
-                Json::number(std::uint64_t(opt.statsInterval)));
-    options.set("workloads", Json::string(joinList(opt.workloads)));
-    if (!opt.schemes.empty())
-        options.set("schemes", Json::string(joinList(opt.schemes)));
-
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
-    req.set("options", std::move(options));
-    req.set("stream", Json::boolean(true));
-
-    Json terminal;
-    const bool ok = client.submit(
-        req, terminal,
-        [](const Json &frame) {
-            if (frame.at("type").asString() == "progress" &&
-                frame.at("point_done").asBool()) {
-                inform("  %llu/%llu %s",
-                       (unsigned long long)frame.at("done")
-                           .asDouble(),
-                       (unsigned long long)frame.at("total")
-                           .asDouble(),
-                       frame.at("point").asString().c_str());
-            }
-        },
-        &err);
-    if (!ok)
-        fatal("fig4_performance: %s", err.c_str());
-    if (terminal.at("type").asString() == "error") {
-        fatal("fig4_performance: server rejected request: %s",
-              terminal.at("error").asString().c_str());
-    }
-    if (terminal.at("outcome").asString() != "done") {
-        fatal("fig4_performance: remote sweep %s: %s",
-              terminal.at("outcome").asString().c_str(),
-              terminal.contains("error")
-                  ? terminal.at("error").asString().c_str()
-                  : "");
-    }
-
-    const Json &doc = terminal.at("result");
-    const Json &sweeps = doc.at("workloads");
-    if (sweeps.size() == 0)
-        fatal("fig4_performance: remote sweep returned no workloads");
-
-    TextTable table;
-    std::vector<std::string> header{"workload"};
-    const Json &first = sweeps.at(std::size_t(0)).at("schemes");
-    for (std::size_t i = 0; i < first.size(); ++i)
-        header.push_back(first.at(i).at("scheme").asString());
-    table.header(header);
-
-    const std::size_t numSchemes = first.size();
-    std::vector<double> logSum(numSchemes, 0.0);
-    std::vector<std::size_t> logCount(numSchemes, 0);
-    for (std::size_t w = 0; w < sweeps.size(); ++w) {
-        const Json &wl = sweeps.at(w);
-        std::vector<std::string> row{wl.at("workload").asString()};
-        const Json &schemes = wl.at("schemes");
-        for (std::size_t i = 0; i < schemes.size(); ++i) {
-            const Json &run = schemes.at(i);
-            if (!run.at("ok").asBool()) {
-                row.push_back("n/a");
-                continue;
-            }
-            const double norm =
-                run.at("normalized_time").asDouble();
-            logSum[i] += std::log(norm);
-            ++logCount[i];
-            row.push_back(TextTable::num(norm, 4));
-        }
-        table.row(std::move(row));
-    }
-    std::vector<std::string> geo{"geomean"};
-    for (std::size_t i = 0; i < numSchemes; ++i) {
-        geo.push_back(logCount[i]
-                          ? TextTable::num(
-                                std::exp(logSum[i] / logCount[i]), 4)
-                          : "n/a");
-    }
-    table.row(std::move(geo));
-    table.print(std::cout);
-
-    if (!opt.jsonPath.empty()) {
-        writeJsonFile(opt.jsonPath, doc);
-        inform("wrote %s%s", opt.jsonPath.c_str(),
-               terminal.at("cached").asBool() ? " (cache hit)" : "");
-    }
-    return 0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -166,50 +31,9 @@ main(int argc, char **argv)
                  "Figure 4: normalized GPU kernel execution time "
                  "across LV protection schemes");
     declareSweepOptions(opts, "fig4_performance");
-    auto &server =
-        opts.add("server", "",
-                 "kserved unix socket path; when set the sweep runs "
-                 "remotely on the daemon (repeat runs answered from "
-                 "its result cache)");
-    auto &serverPort =
-        opts.add<unsigned>("server-port", 0u,
-                           "kserved TCP port on 127.0.0.1 "
-                           "(alternative to server=)")
-            .range(0u, 65535u);
-    auto &recordPath =
-        opts.add("record", "",
-                 "capture the sweep into a killi-recording-v1 file "
-                 "(forces jobs=1; see TESTING.md)");
-    auto &replayPath =
-        opts.add("replay", "",
-                 "re-run a record= file and verify bit-identity "
-                 "instead of sweeping; exit 1 on divergence");
-    auto &reference = opts.add<bool>(
-        "reference", false,
-        "record mode: run the reference (non-bit-sliced) hot paths");
-    auto &perturb = opts.add<std::uint64_t>(
-        "perturb-decode", std::uint64_t{0},
-        "record mode: flip one syndrome bit on the Nth SECDED "
-        "evaluation (bisector fault injection; 0 disables)");
     opts.parse(argc, argv);
 
-    if (!replayPath.value().empty()) {
-        const replay::Recording rec =
-            replay::Recording::loadFile(replayPath.value());
-        std::cout << rec.summary() << "\n";
-        const replay::SweepSession s = replay::replaySweep(rec);
-        std::cout << s.divergence.describe() << "\n";
-        return s.verified ? 0 : 1;
-    }
-
     const SweepOptions opt = sweepOptions(opts);
-
-    if (!server.value().empty() || serverPort.value() != 0) {
-        if (!recordPath.value().empty())
-            fatal("fig4_performance: record= runs locally; drop "
-                  "server=");
-        return runRemote(opt, server.value(), serverPort);
-    }
 
     std::cout << "=== Figure 4: normalized GPU kernel execution time "
                  "(baseline = fault-free @ 1.0xVDD) ===\n"
@@ -217,21 +41,7 @@ main(int argc, char **argv)
               << opt.scale << ", warmup=" << opt.warmupPasses
               << ", jobs=" << opt.jobs << "\n\n";
 
-    SweepResult res;
-    if (!recordPath.value().empty()) {
-        replay::RunMode mode;
-        mode.reference = reference.value();
-        mode.perturbDecode = perturb.value();
-        replay::SweepSession s = replay::recordSweep(opt, mode);
-        s.recording.writeFile(recordPath.value());
-        inform("wrote recording %s (replay with fig4_performance "
-               "replay=%s)",
-               recordPath.value().c_str(),
-               recordPath.value().c_str());
-        res = std::move(s.result);
-    } else {
-        res = runEvaluationSweep(opt);
-    }
+    const SweepResult res = runEvaluationSweep(opt);
     const auto &sweeps = res.workloads;
 
     TextTable table;

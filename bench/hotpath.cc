@@ -341,8 +341,9 @@ main(int argc, char **argv)
     if (!skipE2e.value()) {
         SweepOptions sw;
         sw.scale = scale.value();
-        sw.scenario.seed = seed.value();
-        sw.seed = seed.value();
+        ScenarioSpec spec;
+        spec.seed = seed.value();
+        sw.setScenario(spec);
         sw.jobs = 1;
         sw.workloads = {workload.value()};
         sw.schemes = {scheme.value()};

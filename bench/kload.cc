@@ -31,6 +31,7 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/options.hh"
+#include "fault/scenario_spec.hh"
 #include "serve/client/client.hh"
 
 using namespace killi;
@@ -190,7 +191,9 @@ main(int argc, char **argv)
         options.set("scale", Json::number(scale.value()));
         options.set("warmup",
                     Json::number(std::uint64_t(warmup.value())));
-        options.set("seed", Json::number(seed));
+        ScenarioSpec scenario;
+        scenario.seed = seed;
+        options.set("scenario", scenario.toJson());
         options.set("workloads", stringArray(workloadList));
         options.set("schemes", stringArray(schemeList));
         Json req = Json::object();

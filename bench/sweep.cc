@@ -188,6 +188,16 @@ runPoint(const SweepOptions &opt, const FaultModel &model,
 } // namespace
 
 void
+SweepOptions::setScenario(ScenarioSpec spec)
+{
+    scenario = std::move(spec);
+    voltage = FaultModel::fromScenario(scenario)
+                  ->voltageSchedule()
+                  .front();
+    seed = scenario.seed;
+}
+
+void
 declareSweepOptions(Options &opts, const std::string &benchName,
                     double defaultScale)
 {
@@ -201,14 +211,6 @@ declareSweepOptions(Options &opts, const std::string &benchName,
              "fault scenario: path to a killi-scenario-v1 JSON file "
              "or inline JSON (see SCENARIOS.md); empty runs the "
              "default iid scenario");
-    opts.add<double>("voltage", 0.625, "normalized L2 supply")
-        .range(0.5, 1.0)
-        .deprecate("fold into scenario= (still honored as an "
-                   "override of the scenario's voltage)");
-    opts.add<std::uint64_t>("seed", std::uint64_t{42},
-                            "fault-map die seed")
-        .deprecate("fold into scenario= (still honored as an "
-                   "override of the scenario's seed)");
     opts.add("workloads", "",
              "comma-separated workload subset (default: all ten)");
     opts.add("schemes", "",
@@ -245,24 +247,13 @@ sweepOptions(const Options &opts)
     SweepOptions opt;
     opt.scale = opts.get<double>("scale");
     opt.warmupPasses = opts.get<unsigned>("warmup");
-    // Scenario-first resolution: scenario= (file or inline JSON)
-    // supplies the spec; the deprecated voltage=/seed= spellings
-    // still override its fields when explicitly set, so existing
-    // invocations keep their meaning.
+    // scenario= (file or inline JSON) is the whole fault
+    // configuration; empty keeps the default iid scenario.
     const std::string scenarioText =
         opts.get<std::string>("scenario");
-    if (!scenarioText.empty())
-        opt.scenario = ScenarioSpec::fromString(scenarioText);
-    if (opts.has("voltage"))
-        opt.scenario.voltage = opts.get<double>("voltage");
-    if (opts.has("seed"))
-        opt.scenario.seed = opts.get<std::uint64_t>("seed");
-    // Mirrors for reporting; droop scenarios start at their
-    // schedule's first operating point.
-    opt.voltage = FaultModel::fromScenario(opt.scenario)
-                      ->voltageSchedule()
-                      .front();
-    opt.seed = opt.scenario.seed;
+    opt.setScenario(scenarioText.empty()
+                        ? ScenarioSpec{}
+                        : ScenarioSpec::fromString(scenarioText));
     opt.jobs = opts.get<unsigned>("jobs");
     opt.retries = opts.get<unsigned>("retries");
     opt.jsonPath = opts.get<std::string>("json");

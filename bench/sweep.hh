@@ -61,14 +61,18 @@ struct SweepOptions
      * The fault scenario every sweep point instantiates through
      * FaultModel::fromScenario(). The default spec reproduces the
      * historical iid behaviour bit-identically. voltage/seed below
-     * are read-side mirrors of scenario.voltage/scenario.seed kept
-     * for reporting; sweepOptions() and kserved keep them in sync,
-     * and code constructing SweepOptions programmatically should set
-     * the scenario (or use the mirrors' defaults).
+     * are read-side mirrors kept for reporting and the serving cache
+     * key; set the scenario through setScenario(), which derives
+     * them (or keep the mirrors' defaults with the default spec).
      */
     ScenarioSpec scenario;
     double voltage = 0.625;
     std::uint64_t seed = 42;
+
+    /** Install @p spec and derive the voltage/seed mirrors from it
+     *  (droop scenarios report their schedule's first point). */
+    void setScenario(ScenarioSpec spec);
+
     /** Worker threads for the campaign (0 = all hardware threads). */
     unsigned jobs = 1;
     /** Extra attempts for a failed sweep point before skipping it. */
@@ -116,9 +120,8 @@ struct SweepOptions
      * (bit-identical to sampling it, by construction), and a null
      * return falls back to sampling. Concurrent campaigns may share
      * one source, so it must be thread-safe. Record/replay sessions
-     * must never set this: adopting a population skips the sampler's
-     * RNG draws, which a recording captures (kserved installs it for
-     * plain jobs only).
+     * never use it: adopting a population skips the sampler's RNG
+     * draws, which a recording captures.
      */
     std::function<std::shared_ptr<const FaultPopulation>(
         const FaultModel &model, std::size_t numLines,
@@ -127,8 +130,9 @@ struct SweepOptions
 };
 
 /**
- * Declare the shared sweep knobs (scale, warmup, voltage, seed,
- * workloads, schemes, jobs, retries, json) on @p opts.
+ * Declare the shared sweep knobs (scale, warmup, scenario, workloads,
+ * schemes, jobs, retries, json, trace, trace-dir, stats-interval,
+ * timeseries) on @p opts.
  *
  * @param benchName stem of the default results path
  *        ("results/<benchName>.json")

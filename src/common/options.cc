@@ -1,7 +1,6 @@
 #include "common/options.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -123,20 +122,6 @@ tryParseAs(const std::string &text, T &out)
     }
 }
 
-/** "l2.size" -> "KILLI_L2_SIZE". */
-std::string
-envNameOf(const std::string &key)
-{
-    std::string env = "KILLI_";
-    for (const char c : key) {
-        env.push_back(c == '.' || c == '-'
-                          ? '_'
-                          : static_cast<char>(std::toupper(
-                                static_cast<unsigned char>(c))));
-    }
-    return env;
-}
-
 } // namespace
 
 template <typename T>
@@ -157,20 +142,18 @@ Option<T>::typeName() const
 
 template <typename T>
 void
-Option<T>::parseValue(const std::string &text, const std::string &source)
+Option<T>::parseValue(const std::string &text)
 {
     T parsed;
     if (!tryParseAs<T>(text, parsed)) {
-        fatal("option '%s' (%s) expects a %s value, got '%s'",
-              optName.c_str(), source.c_str(), typeName(),
-              text.c_str());
+        fatal("option '%s' expects a %s value, got '%s'",
+              optName.c_str(), typeName(), text.c_str());
     }
     if constexpr (!std::is_same_v<T, std::string>) {
         if ((loBound && parsed < *loBound) ||
             (hiBound && parsed > *hiBound)) {
-            fatal("option '%s' (%s) value %s is outside [%s, %s]",
-                  optName.c_str(), source.c_str(),
-                  formatValue(parsed).c_str(),
+            fatal("option '%s' value %s is outside [%s, %s]",
+                  optName.c_str(), formatValue(parsed).c_str(),
                   formatValue(*loBound).c_str(),
                   formatValue(*hiBound).c_str());
         }
@@ -180,9 +163,8 @@ Option<T>::parseValue(const std::string &text, const std::string &source)
         for (const T &a : allowedValues)
             found = found || a == parsed;
         if (!found) {
-            fatal("option '%s' (%s) value '%s' is not one of: %s",
-                  optName.c_str(), source.c_str(),
-                  formatValue(parsed).c_str(),
+            fatal("option '%s' value '%s' is not one of: %s",
+                  optName.c_str(), formatValue(parsed).c_str(),
                   constraintText().c_str());
         }
     }
@@ -359,27 +341,7 @@ Options::parse(int argc, char **argv)
                       programName.c_str(), key.c_str());
             }
         }
-        opt->parseValue(value, "command line");
-        if (!opt->deprecation().empty()) {
-            warn("%s: option '%s' is deprecated: %s",
-                 programName.c_str(), key.c_str(),
-                 opt->deprecation().c_str());
-        }
-    }
-
-    // Environment fallback for anything the command line left unset.
-    for (const auto &decl : decls) {
-        if (decl->isSet())
-            continue;
-        const std::string env = envNameOf(decl->name());
-        if (const char *v = std::getenv(env.c_str())) {
-            decl->parseValue(v, "environment " + env);
-            if (!decl->deprecation().empty()) {
-                warn("%s: option '%s' (via %s) is deprecated: %s",
-                     programName.c_str(), decl->name().c_str(),
-                     env.c_str(), decl->deprecation().c_str());
-            }
-        }
+        opt->parseValue(value);
     }
 }
 
@@ -431,14 +393,8 @@ Options::printHelp(std::ostream &os) const
         const std::string constraint = decl->constraintText();
         if (!constraint.empty())
             os << ", allowed: " << constraint;
-        os << ")";
-        if (!decl->deprecation().empty())
-            os << " [deprecated: " << decl->deprecation() << "]";
-        os << "\n";
+        os << ")\n";
     }
-    os << "\nUnset options fall back to KILLI_* environment "
-          "variables (e.g. " << envNameOf(decls.front()->name())
-       << ").\n";
 }
 
 Json

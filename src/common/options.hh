@@ -17,9 +17,8 @@
  * "--key value" spellings (a bare "--flag" sets a bool option), and
  * --help/-h/help. Unknown keys, malformed numbers, and out-of-range
  * values are all fatal() — a typo'd knob cannot silently run the
- * experiment with defaults. Values fall back to KILLI_-prefixed
- * environment variables ("l2.size" -> KILLI_L2_SIZE), and --help
- * output is generated from the declarations.
+ * experiment with defaults. A run's configuration is exactly its
+ * command line, and --help output is generated from the declarations.
  */
 
 #ifndef KILLI_COMMON_OPTIONS_HH
@@ -58,27 +57,12 @@ class OptionBase
 
     const std::string &name() const { return optName; }
     const std::string &help() const { return helpText; }
-    /** True iff explicitly set via CLI or environment. */
+    /** True iff explicitly set on the command line. */
     bool isSet() const { return set; }
-
-    /**
-     * Mark this option as deprecated: explicitly setting it (CLI or
-     * environment) still works but emits a warn() carrying @p note
-     * (typically the replacement spelling). Deprecated options show
-     * the note in --help.
-     */
-    OptionBase &
-    deprecate(const std::string &note)
-    {
-        deprecationNote = note;
-        return *this;
-    }
-    const std::string &deprecation() const { return deprecationNote; }
 
     virtual const char *typeName() const = 0;
     /** Parse and validate; fatal() with a precise message on error. */
-    virtual void parseValue(const std::string &text,
-                            const std::string &source) = 0;
+    virtual void parseValue(const std::string &text) = 0;
     virtual std::string defaultText() const = 0;
     virtual std::string constraintText() const = 0;
     virtual Json valueJson() const = 0;
@@ -87,7 +71,6 @@ class OptionBase
     friend class Options;
     std::string optName;
     std::string helpText;
-    std::string deprecationNote;
     bool set = false;
 };
 
@@ -123,8 +106,7 @@ class Option : public OptionBase
     operator const T &() const { return val; }
 
     const char *typeName() const override;
-    void parseValue(const std::string &text,
-                    const std::string &source) override;
+    void parseValue(const std::string &text) override;
     std::string defaultText() const override;
     std::string constraintText() const override;
     Json valueJson() const override;
@@ -169,12 +151,11 @@ class Options
      * value", and bare bool "--flag" are accepted as equivalent
      * spellings. --help/-h/help prints the generated usage text and
      * exits(0). Unknown keys, malformed values, and constraint
-     * violations are fatal(). Options not set on the command line
-     * fall back to KILLI_* environment variables.
+     * violations are fatal().
      */
     void parse(int argc, char **argv);
 
-    /** True iff @p name was explicitly set (CLI or environment). */
+    /** True iff @p name was explicitly set on the command line. */
     bool has(const std::string &name) const;
 
     /** Typed access by name (declared options only; fatal() else). */

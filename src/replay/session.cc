@@ -6,7 +6,6 @@
 #include "common/hash.hh"
 #include "common/hotpath.hh"
 #include "common/log.hh"
-#include "fault/fault_model.hh"
 #include "trace/trace.hh"
 
 namespace killi::replay
@@ -432,8 +431,7 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     s.opt.timeseriesPath.clear();
     s.opt.onProgress = nullptr;
     // Recordings must capture the sampler's RNG draws, so the run
-    // always samples its die cold — a warm population source, had
-    // the embedder set one, is stripped here.
+    // always samples its die cold.
     s.opt.warmFaultSource = nullptr;
     if (s.opt.trace.empty()) {
         // Record every category's digests without writing per-point
@@ -448,16 +446,11 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     recorder.recording().referenceMode = mode.reference;
     recorder.recording().perturbDecode = mode.perturbDecode;
 
-    const auto userProgress = optIn.onProgress;
     SweepOptions run = s.opt;
-    run.onProgress = [&recorder,
-                      &userProgress](const SweepProgress &p) {
+    run.onProgress = [&recorder](const SweepProgress &p) {
         if (p.pointDone)
             recorder.mark(p.point);
-        if (userProgress)
-            userProgress(p);
     };
-    run.cancel = optIn.cancel;
     {
         const ScopedRunMode rm(mode);
         const ScopedReplayProbe probe(&recorder);
@@ -469,59 +462,56 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     return s;
 }
 
-bool
-trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
-                        std::string *err)
+SweepOptions
+sweepOptionsFromMeta(const Recording &rec)
 {
-    const auto fail = [err](const std::string &msg) {
-        if (err)
-            *err = msg;
-        return false;
+    const auto fail = [](const std::string &msg) {
+        fatal("replay: %s", msg.c_str());
     };
     if (rec.tool != "sweep")
-        return fail("recording tool is '" + rec.tool +
-                    "', not 'sweep'");
+        fail("recording tool is '" + rec.tool + "', not 'sweep'");
     if (rec.meta.kind() != Json::Kind::Object ||
         !rec.meta.contains("options"))
-        return fail("sweep recording has no meta.options");
+        fail("sweep recording has no meta.options");
     const Json &o = rec.meta.at("options");
     if (o.kind() != Json::Kind::Object)
-        return fail("meta.options must be an object");
+        fail("meta.options must be an object");
     for (const char *num : {"scale", "warmup", "stats_interval"}) {
         if (!o.contains(num) ||
             (o.at(num).kind() != Json::Kind::Double &&
              o.at(num).kind() != Json::Kind::Int))
-            return fail(std::string("meta.options.") + num +
-                        " must be a number");
+            fail(std::string("meta.options.") + num +
+                 " must be a number");
     }
     for (const char *key :
          {"scenario", "workloads", "schemes", "trace"}) {
         if (!o.contains(key))
-            return fail(std::string("meta.options.") + key +
-                        " is missing");
+            fail(std::string("meta.options.") + key + " is missing");
     }
     for (const char *arrKey : {"workloads", "schemes"}) {
         const Json &arr = o.at(arrKey);
         if (arr.kind() != Json::Kind::Array)
-            return fail(std::string("meta.options.") + arrKey +
-                        " must be an array");
+            fail(std::string("meta.options.") + arrKey +
+                 " must be an array");
         for (std::size_t i = 0; i < arr.size(); ++i) {
             if (arr.at(i).kind() != Json::Kind::String)
-                return fail(std::string("meta.options.") + arrKey +
-                            " must hold strings");
+                fail(std::string("meta.options.") + arrKey +
+                     " must hold strings");
         }
     }
     if (o.at("trace").kind() != Json::Kind::String)
-        return fail("meta.options.trace must be a string");
+        fail("meta.options.trace must be a string");
 
-    opt = SweepOptions{};
+    SweepOptions opt;
     opt.scale = o.at("scale").asDouble();
     opt.warmupPasses = unsigned(o.at("warmup").asDouble());
     opt.statsInterval = Cycle(o.at("stats_interval").asDouble());
+    ScenarioSpec scenario;
     std::string specErr;
-    if (!ScenarioSpec::tryFromJson(o.at("scenario"), opt.scenario,
+    if (!ScenarioSpec::tryFromJson(o.at("scenario"), scenario,
                                    &specErr))
-        return fail("meta scenario: " + specErr);
+        fail("meta scenario: " + specErr);
+    opt.setScenario(std::move(scenario));
     opt.workloads = metaStringList(o.at("workloads"), "workloads");
     opt.schemes = metaStringList(o.at("schemes"), "schemes");
     opt.trace = o.at("trace").asString();
@@ -529,36 +519,14 @@ trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
     opt.jobs = 1;
     opt.jsonPath.clear();
     opt.timeseriesPath.clear();
-    opt.voltage = FaultModel::fromScenario(opt.scenario)
-                      ->voltageSchedule()
-                      .front();
-    opt.seed = opt.scenario.seed;
-    return true;
-}
-
-SweepOptions
-sweepOptionsFromMeta(const Recording &rec)
-{
-    SweepOptions opt;
-    std::string err;
-    if (!trySweepOptionsFromMeta(rec, opt, &err))
-        fatal("replay: %s", err.c_str());
     return opt;
 }
 
 SweepSession
-replaySweep(const Recording &rec, const SweepOptions *embedder)
+replaySweep(const Recording &rec)
 {
     SweepSession s;
     s.opt = sweepOptionsFromMeta(rec);
-    if (embedder) {
-        // Only the observation hooks merge. Deliberately NOT
-        // warmFaultSource: adopting a warm population skips the
-        // sampler's RNG draws, which the recording captured — a
-        // warm-backed replay would diverge on its first rng record.
-        s.opt.onProgress = embedder->onProgress;
-        s.opt.cancel = embedder->cancel;
-    }
     Replayer rep(rec);
     {
         const ScopedRunMode rm(

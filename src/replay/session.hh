@@ -8,9 +8,8 @@
  *
  * Both drivers force single-threaded execution (jobs=1 campaigns run
  * inline on the calling thread, see runner.hh), so the thread-local
- * probe observes exactly the run it wraps; the serving daemon can
- * record one job on one worker while unrelated jobs proceed
- * unprobed on other workers.
+ * probe observes exactly the run it wraps. krr is the one front end
+ * (record, replay, bisect).
  */
 
 #ifndef KILLI_REPLAY_SESSION_HH
@@ -183,11 +182,8 @@ SweepSession recordSweep(const SweepOptions &opt,
 /**
  * Re-derive and re-run a sweep from @p rec alone (its meta carries
  * the resolved options and mode), verifying every recorded input.
- * @p embedder optionally supplies onProgress/cancel hooks (the
- * serving daemon's streaming and cancellation).
  */
-SweepSession replaySweep(const Recording &rec,
-                         const SweepOptions *embedder = nullptr);
+SweepSession replaySweep(const Recording &rec);
 
 /** The outcome of one recorded or replayed kcheck scenario run. */
 struct CheckSession
@@ -209,13 +205,9 @@ CheckSession recordScenario(const check::Scenario &scenario,
  *  and the result digest. */
 CheckSession replayScenario(const Recording &rec);
 
-/** Reconstruct the SweepOptions a sweep recording ran under. */
+/** Reconstruct the SweepOptions a sweep recording ran under;
+ *  fatal() on a malformed recording. */
 SweepOptions sweepOptionsFromMeta(const Recording &rec);
-
-/** Error-returning variant for embedders (the serving daemon) that
- *  must reject malformed recordings instead of fatal()ing. */
-bool trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
-                             std::string *err);
 
 } // namespace killi::replay
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Blocking client for the kserved protocol, used by kcli, the
- * fig4_performance `server=` mode, and the serve tests. One Client
+ * Blocking client for the kserved protocol, used by kcli, kload, ktop,
+ * the fleet coordinator, and the serve tests. One Client
  * is one connection; frames go out with send() and come back —
  * strictly in the order the daemon enqueued them — with recv().
  *

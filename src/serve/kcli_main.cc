@@ -25,7 +25,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "common/json.hh"
@@ -161,11 +160,6 @@ runSubmit(Options &opts)
     Client client;
     connectTo(opts, client);
 
-    const std::string recordPath = opts.get<std::string>("record");
-    const std::string replayPath = opts.get<std::string>("replay");
-    if (!recordPath.empty() && !replayPath.empty())
-        fatal("kcli: record= and replay= are mutually exclusive");
-
     Json options = Json::object();
     options.set("scale",
                 Json::number(opts.get<double>("scale")));
@@ -173,19 +167,11 @@ runSubmit(Options &opts)
                 Json::number(std::uint64_t(
                     opts.get<unsigned>("warmup"))));
     // The scenario is resolved client-side (the daemon never reads
-    // client file paths) and shipped as a canonical object. The
-    // deprecated voltage=/seed= spellings travel as overrides of the
-    // scenario's fields, so they are sent only when explicitly set.
+    // client file paths) and shipped as a canonical object.
     const std::string scenario = opts.get<std::string>("scenario");
     if (!scenario.empty())
         options.set("scenario",
                     ScenarioSpec::fromString(scenario).toJson());
-    if (opts.has("voltage"))
-        options.set("voltage",
-                    Json::number(opts.get<double>("voltage")));
-    if (opts.has("seed"))
-        options.set("seed",
-                    Json::number(opts.get<std::uint64_t>("seed")));
     options.set("stats_interval",
                 Json::number(
                     opts.get<std::uint64_t>("stats-interval")));
@@ -199,16 +185,7 @@ runSubmit(Options &opts)
 
     Json req = Json::object();
     req.set("type", Json::string("submit"));
-    if (!replayPath.empty()) {
-        // Like scenario files, the recording is resolved client-side
-        // and shipped inline; a replay job takes every option from
-        // its meta, so the sweep knobs are not sent.
-        req.set("replay", readJsonFile(replayPath));
-    } else {
-        req.set("options", std::move(options));
-        if (!recordPath.empty())
-            req.set("record", Json::boolean(true));
-    }
+    req.set("options", std::move(options));
     req.set("priority",
             Json::number(opts.get<std::int64_t>("priority")));
     req.set("stream", Json::boolean(opts.get<bool>("stream")));
@@ -266,51 +243,16 @@ runSubmit(Options &opts)
     if (terminal.contains("fleet"))
         printFleetAttribution(terminal.at("fleet"));
 
-    int exitCode = 0;
-    Json output = result;
-    if (!recordPath.empty()) {
-        if (!result.contains("recording"))
-            fatal("kcli: record= was requested but the result "
-                  "carries no recording (old server?)");
-        // The recording is written compact on its own (it is large);
-        // the sweep document keeps flowing to json=/stdout without
-        // it.
-        std::ofstream out(recordPath, std::ios::binary);
-        if (!out)
-            fatal("kcli: cannot write %s", recordPath.c_str());
-        out << result.at("recording").toString(0) << "\n";
-        inform("wrote recording %s (replay with kcli submit "
-               "replay=%s)",
-               recordPath.c_str(), recordPath.c_str());
-        Json trimmed = Json::object();
-        for (const auto &[key, value] : result.members())
-            if (key != "recording")
-                trimmed.set(key, value);
-        output = std::move(trimmed);
-    }
-    if (!replayPath.empty()) {
-        const Json &rj = result.at("replay");
-        if (rj.at("verified").asBool()) {
-            inform("replay verified: bit-identical to %s",
-                   replayPath.c_str());
-        } else {
-            warn("kcli: replay DIVERGED from %s: %s",
-                 replayPath.c_str(),
-                 rj.at("divergence").toString(0).c_str());
-            exitCode = 1;
-        }
-    }
-
     const std::string jsonPath = opts.get<std::string>("json");
     if (!jsonPath.empty()) {
-        writeJsonFile(jsonPath, output);
+        writeJsonFile(jsonPath, result);
         inform("wrote %s%s", jsonPath.c_str(),
                terminal.at("cached").asBool() ? " (cache hit)" : "");
     } else {
-        output.dump(std::cout, 2);
+        result.dump(std::cout, 2);
         std::cout << "\n";
     }
-    return exitCode;
+    return 0;
 }
 
 int
@@ -450,14 +392,6 @@ main(int argc, char **argv)
                  "fault scenario: path to a killi-scenario-v1 JSON "
                  "file or inline JSON (resolved locally, submitted "
                  "canonically; see SCENARIOS.md)");
-        opts.add<double>("voltage", 0.625, "normalized L2 supply")
-            .range(0.5, 1.0)
-            .deprecate("fold into scenario= (still honored as an "
-                       "override of the scenario's voltage)");
-        opts.add<std::uint64_t>("seed", std::uint64_t{42},
-                                "fault-map die seed")
-            .deprecate("fold into scenario= (still honored as an "
-                       "override of the scenario's seed)");
         opts.add("workloads", "",
                  "comma-separated workload subset (default: all)");
         opts.add("schemes", "",
@@ -477,13 +411,6 @@ main(int argc, char **argv)
                        "print the per-stage span table (decode/"
                        "queue/setup/run/serialize/reply) from the "
                        "result frame on stderr");
-        opts.add("record", "",
-                 "capture the job into a killi-recording-v1 file at "
-                 "this local path (bypasses the result cache)");
-        opts.add("replay", "",
-                 "verify a previous record= file: re-run it on the "
-                 "server and exit 1 unless bit-identical (other "
-                 "sweep knobs are taken from the recording)");
     } else if (cmd == "status" || cmd == "cancel") {
         opts.add<std::uint64_t>("id", std::uint64_t{0},
                                 "job id from the submitted frame");

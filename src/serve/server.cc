@@ -20,8 +20,6 @@
 #include "common/build_info.hh"
 #include "common/log.hh"
 #include "fault/fault_model.hh"
-#include "replay/recording.hh"
-#include "replay/session.hh"
 #include "trace/trace.hh"
 
 namespace killi::serve
@@ -894,16 +892,9 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     const std::uint64_t id =
         nextJobId.fetch_add(1, std::memory_order_relaxed);
 
-    // Record/replay jobs bypass the cache entirely — neither lookup
-    // (a cached result has no recording / no verification verdict)
-    // nor, later, insert (finishJob honours JobRecord::noCache).
-    const bool bypassCache = sub.record || sub.replayRec != nullptr;
     std::string hash;
     std::string cachedText;
-    const bool hit =
-        !bypassCache && cache.lookup(canonical, cachedText, &hash);
-    if (bypassCache)
-        hash = ResultCache::hashKey(canonical);
+    const bool hit = cache.lookup(canonical, cachedText, &hash);
 
     Json submitted = Json::object();
     submitted.set("type", Json::string("submitted"));
@@ -933,15 +924,11 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     {
         std::lock_guard<std::mutex> lock(jobsMtx);
         jobs.emplace(id, JobRecord{conn, canonical, hash,
-                                   spans->submit, bypassCache,
-                                   spans, fleetInfo});
+                                   spans->submit, spans, fleetInfo});
     }
 
-    // Plain sweeps go through the fleet backend when one is
-    // configured; record/replay jobs always run locally (their
-    // verdicts and recordings are tied to this process's run).
-    const bool viaFleet = opt.fleetRunner != nullptr &&
-                          !sub.record && sub.replayRec == nullptr;
+    // Sweeps go through the fleet backend when one is configured.
+    const bool viaFleet = opt.fleetRunner != nullptr;
     const bool stream = sub.stream;
     auto work = [this, sub, id, conn, stream, spans, fleetInfo,
                  viaFleet](const CancelToken &cancel)
@@ -1013,15 +1000,12 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
             SweepOptions ropt = sopt;
             ropt.cancel = &cancel;
             ropt.onProgress = progressFn;
-            // Plain jobs share sampled dies through the warm store:
-            // jobs that differ only in workload/scheme subsets miss
-            // the result cache but describe the same die, so it is
+            // Jobs share sampled dies through the warm store: jobs
+            // that differ only in workload/scheme subsets miss the
+            // result cache but describe the same die, so it is
             // sampled once (single-flight) and every campaign of it
-            // adopts it by reference. Record/replay jobs must sample
-            // cold — adopting a die skips the sampler's RNG draws,
-            // which recordings capture.
-            if (!sub.record && !sub.replayRec &&
-                opt.warmStoreMb > 0) {
+            // adopts it by reference.
+            if (opt.warmStoreMb > 0) {
                 ropt.warmFaultSource = [this](const FaultModel &model,
                                               std::size_t numLines,
                                               std::size_t lineBits) {
@@ -1034,43 +1018,13 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
                         });
                 };
             }
-            if (sub.replayRec) {
-                // Re-run from the recording and attach the
-                // verification verdict; the sweep body itself is the
-                // replayed run's.
-                const replay::SweepSession s =
-                    replay::replaySweep(*sub.replayRec, &ropt);
-                postRun = std::chrono::steady_clock::now();
-                if (cancel.cancelled())
-                    return "";
-                const Json body = sweepToJson(sopt, s.result);
-                for (const auto &[key, value] : body.members())
-                    doc.set(key, value);
-                Json rj = Json::object();
-                rj.set("verified", Json::boolean(s.verified));
-                rj.set("divergence", s.divergence.toJson());
-                doc.set("replay", std::move(rj));
-            } else if (sub.record) {
-                // Capture the run; the recording travels inline in
-                // the result document (the daemon writes no files).
-                const replay::SweepSession s =
-                    replay::recordSweep(ropt);
-                postRun = std::chrono::steady_clock::now();
-                if (cancel.cancelled())
-                    return "";
-                const Json body = sweepToJson(sopt, s.result);
-                for (const auto &[key, value] : body.members())
-                    doc.set(key, value);
-                doc.set("recording", s.recording.toJson());
-            } else {
-                const SweepResult res = runEvaluationSweep(ropt);
-                postRun = std::chrono::steady_clock::now();
-                if (cancel.cancelled())
-                    return "";
-                const Json body = sweepToJson(sopt, res);
-                for (const auto &[key, value] : body.members())
-                    doc.set(key, value);
-            }
+            const SweepResult res = runEvaluationSweep(ropt);
+            postRun = std::chrono::steady_clock::now();
+            if (cancel.cancelled())
+                return "";
+            const Json body = sweepToJson(sopt, res);
+            for (const auto &[key, value] : body.members())
+                doc.set(key, value);
         }
         spans->run = sinceSeconds(preRun, postRun);
         std::string text = doc.toString(0);
@@ -1157,8 +1111,7 @@ Server::finishJob(std::uint64_t id, JobState state,
         fleetText = rec.fleetInfo->toString(0);
 
     if (state == JobState::Done) {
-        if (!rec.noCache)
-            cache.insert(rec.canonicalKey, resultText);
+        cache.insert(rec.canonicalKey, resultText);
         enqueueFrame(rec.conn,
                      encodeFramePayload(resultFrameText(
                          id, false, rec.hash, resultText, spansText,

@@ -61,8 +61,8 @@ namespace killi::serve
 using FleetProgressFn = std::function<void(const SweepProgress &)>;
 
 /**
- * Pluggable campaign backend: when set, plain (non-record/replay)
- * submits run through this instead of a local runEvaluationSweep().
+ * Pluggable campaign backend: when set, submits run through this
+ * instead of a local runEvaluationSweep().
  * Must return the complete result document (bench/options/sweep/
  * workloads/campaign) and may fill @p attribution with a per-shard
  * worker/origin breakdown that rides the terminal result frame as
@@ -260,11 +260,6 @@ class Server
         std::string canonicalKey;
         std::string hash;
         std::chrono::steady_clock::time_point start;
-        /** Record/replay jobs bypass the result cache entirely: a
-         *  recorded result carries its (run-specific) recording and a
-         *  replayed one its verification verdict, neither of which a
-         *  plain submit of the same point should ever be served. */
-        bool noCache = false;
         std::shared_ptr<JobSpans> spans;
         /** Fleet attribution filled by the runner; rides the
          *  terminal frame as the "fleet" sibling when non-null. */

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "common/build_info.hh"
-#include "fault/fault_model.hh"
 #include "gpu/workload.hh"
-#include "replay/session.hh"
 
 namespace killi::serve
 {
@@ -50,24 +47,24 @@ numberIn(const Json &value, const char *key, double lo, double hi,
     return true;
 }
 
-/** Extract a non-negative integral member bounded by @p hi. */
+/** Extract an integral member constrained to [lo, hi]. */
 bool
-uintIn(const Json &value, const char *key, std::uint64_t hi,
-       std::uint64_t &out, std::string &err)
+intIn(const Json &value, const char *key, std::int64_t lo,
+      std::int64_t hi, std::int64_t &out, std::string &err)
 {
     if (!value.isNumber()) {
         err = std::string("\"") + key + "\" must be a number";
         return false;
     }
     const double d = value.asDouble();
-    if (!(d >= 0) || d != std::floor(d) || d > double(hi)) {
+    if (!(d >= double(lo)) || d != std::floor(d) || d > double(hi)) {
         std::ostringstream os;
-        os << "\"" << key << "\" must be an integer in [0, " << hi
-           << "]";
+        os << "\"" << key << "\" must be an integer in [" << lo << ", "
+           << hi << "]";
         err = os.str();
         return false;
     }
-    out = std::uint64_t(d);
+    out = std::int64_t(d);
     return true;
 }
 
@@ -133,47 +130,15 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
 {
     out.sopt = SweepOptions{};
     out.sopt.warmupPasses = 2;
-    // Collected first, resolved after the loop: the scenario and the
-    // voltage/seed overrides may arrive in any member order, but
-    // resolution must be deterministic (scenario first, overrides on
-    // top — the same rule as sweepOptions()).
-    bool haveScenario = false;
-    bool haveOptions = false;
-    ScenarioSpec scenario;
-    std::optional<double> voltageOverride;
-    std::optional<std::uint64_t> seedOverride;
+    constexpr std::int64_t kMaxU53 = std::int64_t(1) << 53;
     for (const auto &[key, value] : req.members()) {
         if (key == "type")
             continue;
-        if (key == "record") {
-            if (value.kind() != Json::Kind::Bool) {
-                err = "\"record\" must be a boolean";
+        std::int64_t i = 0;
+        if (key == "priority") {
+            if (!intIn(value, "priority", -1000, 1000, i, err))
                 return false;
-            }
-            out.record = value.asBool();
-        } else if (key == "replay") {
-            if (value.kind() != Json::Kind::Object) {
-                err = "\"replay\" must be an inline "
-                      "killi-recording-v1 object";
-                return false;
-            }
-            auto rec = std::make_shared<replay::Recording>();
-            std::string rerr;
-            if (!replay::Recording::tryFromJson(value, *rec, &rerr)) {
-                err = "\"replay\": " + rerr;
-                return false;
-            }
-            if (!replay::trySweepOptionsFromMeta(*rec, out.sopt,
-                                                 &rerr)) {
-                err = "\"replay\": " + rerr;
-                return false;
-            }
-            out.replayRec = std::move(rec);
-        } else if (key == "priority") {
-            double d = 0;
-            if (!numberIn(value, "priority", -1000, 1000, d, err))
-                return false;
-            out.priority = int(d);
+            out.priority = int(i);
         } else if (key == "stream") {
             if (value.kind() != Json::Kind::Bool) {
                 err = "\"stream\" must be a boolean";
@@ -185,31 +150,20 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
                 err = "\"options\" must be an object";
                 return false;
             }
-            haveOptions = true;
             for (const auto &[opt, v] : value.members()) {
-                std::uint64_t u = 0;
                 if (opt == "scale") {
                     if (!numberIn(v, "scale", 0.001, 1000.0,
                                   out.sopt.scale, err))
                         return false;
                 } else if (opt == "warmup") {
-                    if (!uintIn(v, "warmup", 16, u, err))
+                    if (!intIn(v, "warmup", 0, 16, i, err))
                         return false;
-                    out.sopt.warmupPasses = unsigned(u);
-                } else if (opt == "voltage") {
-                    double d = 0.625;
-                    if (!numberIn(v, "voltage", 0.5, 1.0, d, err))
-                        return false;
-                    voltageOverride = d;
-                } else if (opt == "seed") {
-                    if (!uintIn(v, "seed",
-                                std::uint64_t(1) << 53, u, err))
-                        return false;
-                    seedOverride = u;
+                    out.sopt.warmupPasses = unsigned(i);
                 } else if (opt == "scenario") {
                     // Object or inline-JSON string; file paths are a
                     // client-side concern (kcli resolves them before
                     // submitting).
+                    ScenarioSpec scenario;
                     std::string specErr;
                     if (v.kind() == Json::Kind::Object) {
                         if (!ScenarioSpec::tryFromJson(v, scenario,
@@ -231,16 +185,16 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
                               "paths client-side)";
                         return false;
                     }
-                    haveScenario = true;
+                    out.sopt.setScenario(std::move(scenario));
                 } else if (opt == "stats_interval") {
-                    if (!uintIn(v, "stats_interval",
-                                std::uint64_t(1) << 53, u, err))
+                    if (!intIn(v, "stats_interval", 0, kMaxU53, i,
+                               err))
                         return false;
-                    out.sopt.statsInterval = Cycle(u);
+                    out.sopt.statsInterval = Cycle(i);
                 } else if (opt == "retries") {
-                    if (!uintIn(v, "retries", 10, u, err))
+                    if (!intIn(v, "retries", 0, 10, i, err))
                         return false;
-                    out.sopt.retries = unsigned(u);
+                    out.sopt.retries = unsigned(i);
                 } else if (opt == "workloads") {
                     if (!nameList(v, "workloads",
                                   out.sopt.workloads, err))
@@ -259,36 +213,6 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
             return false;
         }
     }
-
-    // A replay job re-derives everything from the recording's meta;
-    // options given alongside would be silently ignored, so they are
-    // rejected instead (priority/stream/record stay meaningful).
-    if (out.replayRec) {
-        if (out.record) {
-            err = "\"record\" and \"replay\" are mutually exclusive";
-            return false;
-        }
-        if (haveOptions) {
-            err = "\"replay\" jobs take their options from the "
-                  "recording; drop \"options\"";
-            return false;
-        }
-        return true;
-    }
-
-    // Scenario-first resolution, with the mirror fields kept in sync
-    // for reporting and the cache key (droop scenarios start at
-    // their schedule's first operating point).
-    if (haveScenario)
-        out.sopt.scenario = scenario;
-    if (voltageOverride)
-        out.sopt.scenario.voltage = *voltageOverride;
-    if (seedOverride)
-        out.sopt.scenario.seed = *seedOverride;
-    out.sopt.voltage = FaultModel::fromScenario(out.sopt.scenario)
-                           ->voltageSchedule()
-                           .front();
-    out.sopt.seed = out.sopt.scenario.seed;
 
     // runEvaluationSweep() fatal()s on unknown names — validate
     // up-front so a typo comes back as an error frame instead of

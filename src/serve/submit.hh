@@ -11,12 +11,10 @@
 #ifndef KILLI_SERVE_SUBMIT_HH
 #define KILLI_SERVE_SUBMIT_HH
 
-#include <memory>
 #include <string>
 
 #include "bench/sweep.hh"
 #include "common/json.hh"
-#include "replay/recording.hh"
 
 namespace killi::serve
 {
@@ -27,12 +25,6 @@ struct SubmitRequest
     SweepOptions sopt;
     int priority = 0;
     bool stream = true;
-    /** Capture the run into a recording returned with the result. */
-    bool record = false;
-    /** Replay job: the inline killi-recording-v1 to verify against.
-     *  Shared so the job's work lambda holds the (large) streams
-     *  without copying them. */
-    std::shared_ptr<replay::Recording> replayRec;
 };
 
 /**

@@ -74,7 +74,8 @@ struct TestFleet
 };
 
 /** A validated campaign over @p workloads (comma list), fast scale,
- *  pinned seed — the same resolution path the daemon uses. */
+ *  default scenario (seed 42) — the same resolution path the daemon
+ *  uses. */
 serve::SubmitRequest
 campaignFor(const std::string &workloads, double scale = 0.003,
             const std::string &schemes = "DECTED")
@@ -82,7 +83,6 @@ campaignFor(const std::string &workloads, double scale = 0.003,
     Json options = Json::object();
     options.set("scale", Json::number(scale));
     options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(std::uint64_t{42}));
     options.set("workloads", Json::string(workloads));
     options.set("schemes", Json::string(schemes));
     Json req = Json::object();

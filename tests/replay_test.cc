@@ -2,8 +2,7 @@
  * @file
  * Deterministic record-replay and divergence bisection (src/replay).
  *
- * Covers the PR's acceptance criteria end to end: a fig4 sweep
- * point, a kserved job (over a loopback server), and a kcheck
+ * Covers record-replay end to end: a fig4 sweep point and a kcheck
  * scenario each record and replay bit-identically on the same
  * build; tampered recordings are flagged at their first divergent
  * stream entry; and the bisector, fed two runs that differ by one
@@ -31,8 +30,6 @@
 #include "replay/bisect.hh"
 #include "replay/recording.hh"
 #include "replay/session.hh"
-#include "serve/client/client.hh"
-#include "serve/server.hh"
 #include "sim/event_queue.hh"
 
 namespace killi::replay
@@ -309,6 +306,12 @@ TEST(RecordingFormat, RejectsMalformedDocuments)
     doc.set("format", Json::string("killi-recording-v2"));
     EXPECT_FALSE(Recording::tryFromJson(doc, out, &err));
     EXPECT_NE(err.find(kRecordingFormat), std::string::npos) << err;
+
+    // A well-formed file whose sweep meta is missing cannot be
+    // replayed as a sweep.
+    Recording noMeta = recordHarness(0);
+    noMeta.tool = "sweep";
+    EXPECT_DEATH(sweepOptionsFromMeta(noMeta), "no meta.options");
 }
 
 // ---------------------------------------------------------------
@@ -391,108 +394,6 @@ TEST(ReplayScenario, TamperedResultDigestIsFlagged)
     const CheckSession replayed = replayScenario(tampered);
     ASSERT_FALSE(replayed.verified);
     EXPECT_EQ(replayed.divergence.stream, "result");
-}
-
-// ---------------------------------------------------------------
-// kserved record/replay jobs
-// ---------------------------------------------------------------
-
-Json
-tinySubmit()
-{
-    Json options = Json::object();
-    options.set("scale", Json::number(0.002));
-    options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(std::uint64_t{42}));
-    options.set("workloads", Json::string("spmv"));
-    options.set("schemes", Json::string("DECTED"));
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
-    req.set("options", std::move(options));
-    req.set("stream", Json::boolean(false));
-    return req;
-}
-
-TEST(ReplayServe, RecordedJobReplaysBitIdenticalAndBypassesCache)
-{
-    serve::ServerOptions so;
-    so.port = 0;
-    so.threads = 2;
-    serve::Server server(so);
-    std::string err;
-    ASSERT_TRUE(server.start(&err)) << err;
-    serve::Client client;
-    ASSERT_TRUE(client.connectTcp(server.boundPort(), &err)) << err;
-    ScopedLogCapture quiet;
-
-    // Plain submit populates the cache...
-    Json plain;
-    ASSERT_TRUE(client.submit(tinySubmit(), plain, {}, &err)) << err;
-    ASSERT_EQ(plain.at("outcome").asString(), "done");
-
-    // ...but a record job for the same point must bypass it (no
-    // cached:true, and a recording in the result).
-    Json recReq = tinySubmit();
-    recReq.set("record", Json::boolean(true));
-    Json recorded;
-    ASSERT_TRUE(client.submit(recReq, recorded, {}, &err)) << err;
-    ASSERT_EQ(recorded.at("outcome").asString(), "done");
-    EXPECT_FALSE(recorded.at("cached").asBool());
-    ASSERT_TRUE(recorded.at("result").contains("recording"));
-
-    // The recorded job's sweep body matches the plain run.
-    EXPECT_EQ(
-        recorded.at("result").at("workloads").toString(0),
-        plain.at("result").at("workloads").toString(0));
-
-    // A replay job re-runs from the recording alone, bit-identical.
-    Json repReq = Json::object();
-    repReq.set("type", Json::string("submit"));
-    repReq.set("replay", recorded.at("result").at("recording"));
-    repReq.set("stream", Json::boolean(false));
-    Json replayed;
-    ASSERT_TRUE(client.submit(repReq, replayed, {}, &err)) << err;
-    ASSERT_EQ(replayed.at("outcome").asString(), "done");
-    EXPECT_FALSE(replayed.at("cached").asBool());
-    const Json &verdict = replayed.at("result").at("replay");
-    EXPECT_TRUE(verdict.at("verified").asBool())
-        << verdict.toString(0);
-
-    // The record/replay jobs never polluted the cache: a plain
-    // submit still hits the original entry, whose stored bytes
-    // carry no recording.
-    Json again;
-    ASSERT_TRUE(client.submit(tinySubmit(), again, {}, &err)) << err;
-    EXPECT_TRUE(again.at("cached").asBool());
-    EXPECT_FALSE(again.at("result").contains("recording"));
-    EXPECT_EQ(again.at("result").toString(0),
-              plain.at("result").toString(0));
-
-    server.stop();
-}
-
-TEST(ReplayServe, ReplayJobRejectsOptionsAlongside)
-{
-    serve::ServerOptions so;
-    so.port = 0;
-    so.threads = 1;
-    serve::Server server(so);
-    std::string err;
-    ASSERT_TRUE(server.start(&err)) << err;
-    serve::Client client;
-    ASSERT_TRUE(client.connectTcp(server.boundPort(), &err)) << err;
-
-    const Recording rec = recordHarness(0);
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
-    req.set("replay", rec.toJson());
-    req.set("options", Json::object());
-    ASSERT_TRUE(client.send(req));
-    Json frame;
-    ASSERT_TRUE(client.recvWithin(frame, 30000, &err)) << err;
-    EXPECT_EQ(frame.at("type").asString(), "error");
-    EXPECT_EQ(frame.at("code").asString(), "bad_request");
-    server.stop();
 }
 
 } // namespace

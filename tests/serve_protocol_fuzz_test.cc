@@ -4,7 +4,11 @@
  * round-trips, byte-dribble reassembly, and a seeded fuzz loop that
  * mutates valid frames (truncation, bit flips, oversized length
  * prefixes, corrupted JSON) and requires the decoder to either
- * produce a frame or fail cleanly — never crash, never loop. The
+ * produce a frame or fail cleanly — never crash, never loop. A
+ * second seeded fuzz mutates valid submit requests (dropped,
+ * duplicated and re-typed members, out-of-range numbers, truncated
+ * scenarios) and requires parseSubmit to either reject them with a
+ * message or accept a scenario that round-trips canonically. The
  * final tests aim raw garbage at a live daemon socket and assert it
  * answers with an error frame, closes that connection, and keeps
  * serving others.
@@ -12,6 +16,8 @@
 
 #include <arpa/inet.h>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <netinet/in.h>
 #include <random>
 #include <sys/socket.h>
@@ -21,9 +27,11 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/scenario_spec.hh"
 #include "serve/client/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "serve/submit.hh"
 
 using namespace killi;
 using namespace killi::serve;
@@ -249,6 +257,209 @@ TEST(FrameDecoder, FuzzMutatedFramesNeverCrash)
             break;
         }
     }
+}
+
+namespace
+{
+
+/** A valid submit carrying every member parseSubmit reads, with an
+ *  inline clustered scenario (its params object included). */
+Json
+validSubmit()
+{
+    ScenarioSpec spec;
+    spec.model = "clustered";
+    spec.seed = 7;
+    spec.voltage = 0.6;
+    Json options = Json::object();
+    options.set("scale", Json::number(0.02));
+    options.set("warmup", Json::number(std::uint64_t{1}));
+    options.set("scenario", spec.toJson());
+    options.set("stats_interval", Json::number(std::uint64_t{500}));
+    options.set("retries", Json::number(std::uint64_t{2}));
+    options.set("workloads", Json::string("spmv,xsbench"));
+    Json schemes = Json::array();
+    schemes.push(Json::string("DECTED"));
+    schemes.push(Json::string("Killi 1:256"));
+    options.set("schemes", std::move(schemes));
+    Json req = Json::object();
+    req.set("type", Json::string("submit"));
+    req.set("priority", Json::number(std::int64_t{3}));
+    req.set("stream", Json::boolean(false));
+    req.set("options", std::move(options));
+    return req;
+}
+
+using Path = std::vector<std::string>;
+
+/** The object at @p path, or null if the path no longer leads to
+ *  one (an earlier mutation dropped or re-typed it). */
+const Json *
+objectAt(const Json &root, const Path &path)
+{
+    const Json *cur = &root;
+    for (const std::string &key : path) {
+        if (cur->kind() != Json::Kind::Object || !cur->contains(key))
+            return nullptr;
+        cur = &cur->at(key);
+    }
+    return cur->kind() == Json::Kind::Object ? cur : nullptr;
+}
+
+/** Copy of @p node with the object at @p path replaced by
+ *  edit(object); unchanged where the path leads nowhere. */
+Json
+editAt(const Json &node, const Path &path, std::size_t depth,
+       const std::function<Json(const Json &)> &edit)
+{
+    if (node.kind() != Json::Kind::Object)
+        return node;
+    if (depth == path.size())
+        return edit(node);
+    Json out = Json::object();
+    for (const auto &[key, value] : node.members()) {
+        out.set(key, key == path[depth]
+                         ? editAt(value, path, depth + 1, edit)
+                         : value);
+    }
+    return out;
+}
+
+Json
+randomValue(std::mt19937 &rng)
+{
+    switch (rng() % 7) {
+    case 0:
+        return Json::null();
+    case 1:
+        return Json::boolean(rng() % 2 == 0);
+    case 2:
+        return Json::string("x");
+    case 3:
+        return Json::string("{");
+    case 4:
+        return Json::array();
+    case 5:
+        return Json::object();
+    default:
+        return Json::number(std::int64_t(rng() % 2001) - 1000);
+    }
+}
+
+Json
+edgeNumber(std::mt19937 &rng)
+{
+    // Negative, fractional, just past the priority/warmup/retries
+    // bounds, past 2^53, and far out of every range.
+    static const double kEdges[] = {
+        -1.0, 0.0, 0.5, 2.5, 17.0, 1001.0, -1001.0, 1e9,
+        9007199254740994.0, 1e300, -1e300};
+    return Json::number(kEdges[rng() % std::size(kEdges)]);
+}
+
+} // namespace
+
+TEST(SubmitParser, FuzzMutatedSubmitsRejectCleanlyOrRoundTrip)
+{
+    const Json base = validSubmit();
+    {
+        SubmitRequest ok;
+        std::string err;
+        ASSERT_TRUE(parseSubmit(base, ok, err)) << err;
+    }
+    const Json baseScenario = base.at("options").at("scenario");
+    const Path targets[] = {{},
+                            {"options"},
+                            {"options", "scenario"},
+                            {"options", "scenario", "params"}};
+
+    std::mt19937 rng(0x73756266u); // seeded + reproducible
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+        Json req = base;
+        const int mutations = 1 + int(rng() % 3);
+        for (int m = 0; m < mutations; ++m) {
+            const Path &path = targets[rng() % std::size(targets)];
+            const unsigned op = rng() % 5;
+            if (op == 4) {
+                // Truncate the scenario: a prefix of its inline JSON
+                // text or of its member list.
+                const Json *cur = objectAt(req, {"options", "scenario"});
+                const Json &sc = cur ? *cur : baseScenario;
+                const std::size_t cut = rng();
+                req = editAt(req, {"options"}, 0, [&](const Json &o) {
+                    Json out = o;
+                    if (cut % 2 == 0) {
+                        const std::string text = sc.toString(0);
+                        out.set("scenario",
+                                Json::string(text.substr(
+                                    0, cut / 2 % (text.size() + 1))));
+                    } else {
+                        Json prefix = Json::object();
+                        const auto &ms = sc.members();
+                        for (std::size_t i = 0;
+                             i < cut / 2 % (ms.size() + 1); ++i)
+                            prefix.set(ms[i].first, ms[i].second);
+                        out.set("scenario", std::move(prefix));
+                    }
+                    return out;
+                });
+                continue;
+            }
+            // A member of another level, for cross-level duplicates
+            // (e.g. the scenario's "seed" landing in "options").
+            const Json *donorObj =
+                objectAt(req, targets[rng() % std::size(targets)]);
+            std::pair<std::string, Json> donor;
+            if (donorObj && donorObj->size() > 0)
+                donor = donorObj->members()[rng() % donorObj->size()];
+            const std::uint32_t pick = rng();
+            req = editAt(req, path, 0, [&](const Json &obj) {
+                const auto &ms = obj.members();
+                if (op == 1) {
+                    Json out = obj;
+                    if (!donor.first.empty())
+                        out.set(donor.first, donor.second);
+                    return out;
+                }
+                if (ms.empty())
+                    return obj;
+                const std::size_t victim = pick % ms.size();
+                Json out = Json::object();
+                for (std::size_t i = 0; i < ms.size(); ++i) {
+                    if (i != victim)
+                        out.set(ms[i].first, ms[i].second);
+                    else if (op == 2)
+                        out.set(ms[i].first, randomValue(rng));
+                    else if (op == 3)
+                        out.set(ms[i].first, edgeNumber(rng));
+                    // op == 0 drops the member.
+                }
+                return out;
+            });
+        }
+
+        SubmitRequest out;
+        std::string err;
+        if (parseSubmit(req, out, err)) {
+            ++accepted;
+            const Json canon = out.sopt.scenario.toJson();
+            ScenarioSpec back;
+            std::string specErr;
+            ASSERT_TRUE(ScenarioSpec::tryFromJson(canon, back, &specErr))
+                << specErr << " for " << req.toString(0);
+            EXPECT_EQ(back.toJson().toString(0), canon.toString(0))
+                << req.toString(0);
+            EXPECT_EQ(out.sopt.seed, out.sopt.scenario.seed);
+        } else {
+            ++rejected;
+            EXPECT_FALSE(err.empty()) << req.toString(0);
+        }
+    }
+    // The mutations must explore both outcomes to mean anything.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 TEST(ServeProtocol, DaemonSurvivesRawGarbageConnections)

@@ -145,14 +145,14 @@ waitUntil(const std::function<bool()> &pred, const char *what,
            << "ms waiting for " << what;
 }
 
-/** The fast smoke sweep the CI golden pins (scale 0.02, seed 42). */
+/** The fast smoke sweep the CI golden pins (scale 0.02, default
+ *  scenario, seed 42). */
 Json
 smokeSubmit(bool stream)
 {
     Json options = Json::object();
     options.set("scale", Json::number(0.02));
     options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(std::uint64_t{42}));
     options.set("workloads", Json::string("xsbench,spmv"));
     options.set("schemes", Json::string("DECTED,Killi 1:256"));
     Json req = Json::object();
@@ -495,7 +495,6 @@ TEST(ServeIntegration, CancelRunningJobYieldsCancelledOutcome)
     Json options = Json::object();
     options.set("scale", Json::number(0.05));
     options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(std::uint64_t{42}));
     options.set("workloads", Json::string("xsbench,spmv"));
     options.set("schemes", Json::string("DECTED,Killi 1:256"));
     options.set("stats_interval", Json::number(std::uint64_t{2000}));
@@ -549,16 +548,44 @@ TEST(ServeIntegration, CancelRunningJobYieldsCancelledOutcome)
 TEST(ServeIntegration, BadRequestGetsErrorAndServerKeepsServing)
 {
     Loopback lo;
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
-    Json options = Json::object();
-    options.set("workloads", Json::string("not_a_workload"));
-    req.set("options", std::move(options));
-    ASSERT_TRUE(lo.client.send(req));
+    // Each bad submit differs from a valid one in one member: an
+    // unknown workload, a fractional priority, the retired record/
+    // replay members, and the retired voltage/seed options (faults
+    // come only from "scenario").
+    const auto submitWith = [](const char *member, Json value,
+                               const char *option, Json optValue) {
+        Json req = Json::object();
+        req.set("type", Json::string("submit"));
+        Json options = Json::object();
+        if (option)
+            options.set(option, std::move(optValue));
+        req.set("options", std::move(options));
+        if (member)
+            req.set(member, std::move(value));
+        return req;
+    };
+    const Json badRequests[] = {
+        submitWith(nullptr, Json::null(), "workloads",
+                   Json::string("not_a_workload")),
+        submitWith("priority", Json::number(2.5), nullptr,
+                   Json::null()),
+        submitWith("record", Json::boolean(true), nullptr,
+                   Json::null()),
+        submitWith("replay", Json::object(), nullptr, Json::null()),
+        submitWith(nullptr, Json::null(), "voltage",
+                   Json::number(0.6)),
+        submitWith(nullptr, Json::null(), "seed",
+                   Json::number(std::uint64_t{7})),
+    };
     Json frame;
-    ASSERT_TRUE(lo.client.recv(frame));
-    EXPECT_EQ(frame.at("type").asString(), "error");
-    EXPECT_EQ(frame.at("code").asString(), "bad_request");
+    for (const Json &req : badRequests) {
+        ASSERT_TRUE(lo.client.send(req));
+        ASSERT_TRUE(lo.client.recv(frame));
+        EXPECT_EQ(frame.at("type").asString(), "error")
+            << req.toString(0);
+        EXPECT_EQ(frame.at("code").asString(), "bad_request")
+            << req.toString(0);
+    }
 
     // "fetch" is not part of the protocol.
     Json fetch = Json::object();
@@ -700,7 +727,6 @@ TEST(ServeIntegration, Barrage200RequestsBoundedQueueCleanDrain)
     Json options = Json::object();
     options.set("scale", Json::number(0.002));
     options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(std::uint64_t{42}));
     options.set("workloads", Json::string("spmv"));
     options.set("schemes", Json::string("DECTED"));
     req.set("options", std::move(options));
@@ -1079,7 +1105,9 @@ warmSubmit(const std::string &workloads, std::uint64_t seed)
     Json options = Json::object();
     options.set("scale", Json::number(0.02));
     options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(seed));
+    ScenarioSpec scenario;
+    scenario.seed = seed;
+    options.set("scenario", scenario.toJson());
     options.set("workloads", Json::string(workloads));
     options.set("schemes", Json::string("DECTED"));
     Json req = Json::object();
@@ -1260,8 +1288,8 @@ TEST(ServeIntegration, WarmBackedSweepMatchesColdRecordingAndReplays)
     EXPECT_EQ(store.stats().hits, 0u);
 
     // The cold recording replays bit-identically — and the replay
-    // path samples cold by construction (replaySweep never merges a
-    // warm source), so the recording's RNG draws all verify.
+    // path samples cold by construction (replaySweep takes no warm
+    // source), so the recording's RNG draws all verify.
     const replay::SweepSession rep = replay::replaySweep(cold.recording);
     EXPECT_TRUE(rep.verified)
         << rep.divergence.toJson().toString(2);
