@@ -2,7 +2,8 @@
  * @file
  * Ablation study of Killi's design choices (the §4.3/§4.4 mechanisms
  * DESIGN.md calls out), on the two workloads the paper identifies as
- * most sensitive (XSBench, FFT) at 0.625xVDD, ECC cache 1:256:
+ * most sensitive (XSBench, FFT) at the scenario's first operating
+ * point (0.625xVDD by default), ECC cache 1:256:
  *
  *  - eviction-triggered DFH training on/off;
  *  - the b'01 > b'00 > b'10 allocation priority on/off;
@@ -12,8 +13,10 @@
  *  - the §5.2 DECTED-strength trained-line upgrade.
  *
  * Every (workload, variant) point runs as an isolated job on the
- * experiment runner; `jobs=N` parallelizes the study with identical
- * tables, and results land in results/ablation_killi.json.
+ * experiment runner, adopting the study's one sampled die and its one
+ * active view; `jobs=N` parallelizes the study with identical tables,
+ * and results land in results/ablation_killi.json. Faults come from
+ * the shared scenario= knob, as in every sweep binary.
  */
 
 #include <iostream>
@@ -113,10 +116,7 @@ main(int argc, char **argv)
     opts.add<unsigned>("warmup", 1u,
                        "warmup passes excluded from stats")
         .range(0u, 16u);
-    opts.add<double>("voltage", 0.625, "normalized L2 supply")
-        .range(0.5, 1.0);
-    opts.add<std::uint64_t>("seed", std::uint64_t{42},
-                            "fault-map die seed");
+    declareScenarioOption(opts);
     opts.add<unsigned>("jobs", 1u,
                        "concurrent ablation points (0 = all hardware "
                        "threads)")
@@ -131,8 +131,13 @@ main(int argc, char **argv)
 
     const double scale = opts.get<double>("scale");
     const unsigned warmup = opts.get<unsigned>("warmup");
-    const double voltage = opts.get<double>("voltage");
-    const std::uint64_t seed = opts.get<std::uint64_t>("seed");
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(scenarioOption(opts));
+    const double voltage = model->voltageSchedule().front();
+    const std::size_t numLines = GpuParams{}.l2Geom.numLines();
+    const auto die = std::make_shared<const FaultPopulation>(
+        model->samplePopulation(numLines, 720));
+    const auto view = model->activeView(*die, 720, voltage);
 
     std::cout << "=== Killi design-choice ablations @ " << voltage
               << "xVDD (scale=" << scale << ", warmup=" << warmup
@@ -162,13 +167,8 @@ main(int argc, char **argv)
             jobs.push_back(
                 {wlName + "/" + list[vi].name, [&, wi, vi, wlName] {
                      GpuParams gp;
-                     ScenarioSpec spec;
-                     spec.seed = seed;
-                     spec.voltage = voltage;
-                     const std::unique_ptr<FaultModel> model =
-                         FaultModel::fromScenario(spec);
                      const std::unique_ptr<FaultMap> faultsPtr =
-                         model->buildMap(gp.l2Geom.numLines(), 720);
+                         model->adopt(die, view);
                      FaultMap &faults = *faultsPtr;
                      const auto wl = makeWorkload(wlName, scale);
                      KilliProtection prot(faults, list[vi].params);

@@ -107,8 +107,9 @@ pointFileStem(const std::string &wlName, const SchemeSpec *scheme)
  * system, the trace sink — is constructed here, inside the job, so
  * concurrent points share nothing mutable (see the gpu_system.hh
  * thread-confinement contract). The only shared inputs are the
- * campaign's model and its immutable die, which the point's map
- * adopts by reference: every point sees the identical die.
+ * campaign's model, its immutable die and the die's immutable active
+ * view, which the point's map adopts by reference: every point sees
+ * the identical die at the identical operating point.
  *
  * @param seriesOut receives the point's StatTimeseries as JSON when
  *        opt.statsInterval > 0 (untouched otherwise); may be null.
@@ -116,14 +117,13 @@ pointFileStem(const std::string &wlName, const SchemeSpec *scheme)
 RunResult
 runPoint(const SweepOptions &opt, const FaultModel &model,
          const std::shared_ptr<const FaultPopulation> &die,
+         const std::shared_ptr<const ActiveView> &view,
          const std::string &wlName, const SchemeSpec *scheme,
          Json *seriesOut)
 {
     GpuParams gp;
     gp.statsInterval = opt.statsInterval;
-    // Activates the scenario's first operating point.
-    const std::unique_ptr<FaultMap> faultsPtr =
-        model.buildMapFrom(die, kLineBits);
+    const std::unique_ptr<FaultMap> faultsPtr = model.adopt(die, view);
     FaultMap &faults = *faultsPtr;
     const auto wl = makeWorkload(wlName, opt.scale);
 
@@ -198,34 +198,54 @@ SweepOptions::setScenario(ScenarioSpec spec)
 }
 
 void
-declareSweepOptions(Options &opts, const std::string &benchName,
-                    double defaultScale)
+declareScenarioOption(Options &opts)
 {
+    opts.add("scenario", "",
+             "fault scenario: path to a killi-scenario-v1 JSON file "
+             "or inline JSON (see SCENARIOS.md); empty runs the "
+             "default iid scenario");
+}
+
+ScenarioSpec
+scenarioOption(const Options &opts)
+{
+    const std::string text = opts.get<std::string>("scenario");
+    return text.empty() ? ScenarioSpec{} : ScenarioSpec::fromString(text);
+}
+
+void
+declareSweepOptions(Options &opts, const std::string &benchName,
+                    double defaultScale, SweepKnobs knobs)
+{
+    const bool all = knobs == SweepKnobs::All;
     opts.add<double>("scale", defaultScale,
                      "workload length multiplier")
         .range(0.001, 1000.0);
     opts.add<unsigned>("warmup", 2u,
                        "warmup passes excluded from stats")
         .range(0u, 16u);
-    opts.add("scenario", "",
-             "fault scenario: path to a killi-scenario-v1 JSON file "
-             "or inline JSON (see SCENARIOS.md); empty runs the "
-             "default iid scenario");
+    declareScenarioOption(opts);
     opts.add("workloads", "",
              "comma-separated workload subset (default: all ten)");
     opts.add("schemes", "",
              "comma-separated scheme subset, e.g. "
              "'DECTED,Killi 1:256' (default: all)");
-    opts.add<unsigned>("jobs", 1u,
-                       "concurrent sweep points (0 = all hardware "
-                       "threads; results are identical at any value)")
-        .range(0u, 1024u);
+    if (all) {
+        opts.add<unsigned>("jobs", 1u,
+                           "concurrent sweep points (0 = all hardware "
+                           "threads; results are identical at any "
+                           "value)")
+            .range(0u, 1024u);
+    }
     opts.add<unsigned>("retries", 1u,
                        "extra attempts before a failed sweep point "
                        "is skipped")
         .range(0u, 10u);
-    opts.add("json", "results/" + benchName + ".json",
-             "machine-readable results path (empty string disables)");
+    if (all) {
+        opts.add("json", "results/" + benchName + ".json",
+                 "machine-readable results path (empty string "
+                 "disables)");
+    }
     opts.add("trace", "",
              "trace categories recorded per sweep point (e.g. "
              "dfh,ecc,l2 or all; empty disables tracing)");
@@ -235,10 +255,12 @@ declareSweepOptions(Options &opts, const std::string &benchName,
     opts.add<std::uint64_t>("stats-interval", std::uint64_t{0},
                             "cycles between periodic stat snapshots "
                             "(0 disables the timeseries)");
-    opts.add("timeseries",
-             "results/" + benchName + ".timeseries.json",
-             "combined stat-timeseries path, written when "
-             "stats-interval > 0 (empty string disables)");
+    if (all) {
+        opts.add("timeseries",
+                 "results/" + benchName + ".timeseries.json",
+                 "combined stat-timeseries path, written when "
+                 "stats-interval > 0 (empty string disables)");
+    }
 }
 
 SweepOptions
@@ -249,14 +271,12 @@ sweepOptions(const Options &opts)
     opt.warmupPasses = opts.get<unsigned>("warmup");
     // scenario= (file or inline JSON) is the whole fault
     // configuration; empty keeps the default iid scenario.
-    const std::string scenarioText =
-        opts.get<std::string>("scenario");
-    opt.setScenario(scenarioText.empty()
-                        ? ScenarioSpec{}
-                        : ScenarioSpec::fromString(scenarioText));
-    opt.jobs = opts.get<unsigned>("jobs");
+    opt.setScenario(scenarioOption(opts));
+    if (opts.declares("jobs"))
+        opt.jobs = opts.get<unsigned>("jobs");
     opt.retries = opts.get<unsigned>("retries");
-    opt.jsonPath = opts.get<std::string>("json");
+    if (opts.declares("json"))
+        opt.jsonPath = opts.get<std::string>("json");
     opt.workloads = splitList(opts.get<std::string>("workloads"));
     if (opt.workloads.empty())
         opt.workloads = workloadNames();
@@ -265,7 +285,8 @@ sweepOptions(const Options &opts)
     opt.traceDir = opts.get<std::string>("trace-dir");
     opt.statsInterval =
         Cycle(opts.get<std::uint64_t>("stats-interval"));
-    opt.timeseriesPath = opts.get<std::string>("timeseries");
+    if (opts.declares("timeseries"))
+        opt.timeseriesPath = opts.get<std::string>("timeseries");
     if (!opt.trace.empty()) {
         // Reject a bad category list before the campaign starts, not
         // from inside a worker thread.
@@ -303,6 +324,10 @@ runEvaluationSweep(const SweepOptions &opt)
         die = std::make_shared<const FaultPopulation>(
             model->samplePopulation(numLines, kLineBits));
     }
+    // Every point runs at the scenario's first operating point, so
+    // one activation of the die serves the whole campaign.
+    const std::shared_ptr<const ActiveView> view = model->activeView(
+        *die, kLineBits, model->voltageSchedule().front());
 
     // Resolve the scheme columns (validated against the subset knob).
     std::vector<SchemeSpec> specs = schemeSpecs();
@@ -346,9 +371,9 @@ runEvaluationSweep(const SweepOptions &opt)
         sweep.schemes.resize(specs.size());
 
         jobs.push_back({wlName + "/baseline",
-                        [&opt, &model, &die, &sweep, wlName] {
+                        [&opt, &model, &die, &view, &sweep, wlName] {
                             sweep.baseline = runPoint(
-                                opt, *model, die, wlName, nullptr,
+                                opt, *model, die, view, wlName, nullptr,
                                 &sweep.baselineTimeseries);
                             sweep.baselineOk = true;
                         }});
@@ -360,9 +385,10 @@ runEvaluationSweep(const SweepOptions &opt)
             slot.powerKey = spec.powerKey;
             jobs.push_back(
                 {wlName + "/" + spec.name,
-                 [&opt, &model, &die, &slot, &spec, wlName] {
-                     slot.result = runPoint(opt, *model, die, wlName,
-                                            &spec, &slot.timeseries);
+                 [&opt, &model, &die, &view, &slot, &spec, wlName] {
+                     slot.result = runPoint(opt, *model, die, view,
+                                            wlName, &spec,
+                                            &slot.timeseries);
                      slot.ok = true;
                  }});
         }

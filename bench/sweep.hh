@@ -7,9 +7,9 @@
  *
  * The sweep executes on the killi::ExperimentRunner: every point
  * (workload × scheme) is an independent job with its own GpuSystem,
- * FaultMap (adopting the campaign's one sampled die), and workload
- * instance, so `jobs=N` runs N points concurrently while producing
- * tables bit-identical to `jobs=1`.
+ * FaultMap (adopting the campaign's one sampled die and its one
+ * active view), and workload instance, so `jobs=N` runs N points
+ * concurrently while producing tables bit-identical to `jobs=1`.
  * A point that keeps failing after its retries is skipped (ok=false
  * in its SchemeRun) instead of aborting the campaign.
  *
@@ -129,6 +129,14 @@ struct SweepOptions
         warmFaultSource;
 };
 
+/** Which of the shared sweep knobs a binary declares. */
+enum class SweepKnobs
+{
+    All,     //!< every knob (the sweep bench binaries)
+    Recorded //!< all but jobs, json and timeseries: a recorded sweep
+             //!< runs on one worker and writes only its recording
+};
+
 /**
  * Declare the shared sweep knobs (scale, warmup, scenario, workloads,
  * schemes, jobs, retries, json, trace, trace-dir, stats-interval,
@@ -137,11 +145,23 @@ struct SweepOptions
  * @param benchName stem of the default results path
  *        ("results/<benchName>.json")
  * @param defaultScale default workload length multiplier
+ * @param knobs SweepKnobs::Recorded leaves out jobs, json and
+ *        timeseries, so passing them is an unknown-option error
  */
 void declareSweepOptions(Options &opts, const std::string &benchName,
-                         double defaultScale = 1.0);
+                         double defaultScale = 1.0,
+                         SweepKnobs knobs = SweepKnobs::All);
 
-/** Extract a SweepOptions from parsed @p opts. */
+/** Declare the fault-scenario knob (scenario=) alone, for binaries
+ *  with their own run knobs. */
+void declareScenarioOption(Options &opts);
+
+/** The scenario named by a parsed scenario= knob (the default iid
+ *  scenario when empty). */
+ScenarioSpec scenarioOption(const Options &opts);
+
+/** Extract a SweepOptions from parsed @p opts; knobs left undeclared
+ *  keep their SweepOptions defaults. */
 SweepOptions sweepOptions(const Options &opts);
 
 /** One scheme's result on one workload. */

@@ -158,6 +158,12 @@ class Options
     /** True iff @p name was explicitly set on the command line. */
     bool has(const std::string &name) const;
 
+    /** True iff @p name was declared (set or not). */
+    bool declares(const std::string &name) const
+    {
+        return find(name) != nullptr;
+    }
+
     /** Typed access by name (declared options only; fatal() else). */
     template <typename T> const T &get(const std::string &name) const;
 

@@ -10,69 +10,61 @@ namespace killi
 FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
                    std::size_t line_bits, const VoltageModel &model,
                    double freq_ghz)
-    : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model),
-      die(std::move(population))
+    : freqGHz(freq_ghz), vModel(&model), die(std::move(population)),
+      view(std::make_shared<const ActiveView>(*die, line_bits, model,
+                                              1.0, freq_ghz))
 {
-    if (line_bits > 0xFFFF)
-        fatal("FaultMap: line width %zu exceeds 16-bit positions",
-              line_bits);
-    const FaultPopulation &lines = *die;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::vector<FaultCell> &cells = lines[i];
-        for (std::size_t j = 0; j < cells.size(); ++j) {
-            if (cells[j].bit >= line_bits)
-                fatal("FaultMap: population line %zu cell %u outside "
-                      "%zu-bit line", i, cells[j].bit, line_bits);
-            if (j > 0 && cells[j].bit <= cells[j - 1].bit)
-                fatal("FaultMap: population line %zu not sorted "
-                      "strictly by bit at position %zu", i, j);
-        }
-    }
-    active.resize(lines.size());
-    transientFlips.resize(lines.size());
-    setVoltage(1.0);
+}
+
+FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
+                   std::shared_ptr<const ActiveView> shared,
+                   const VoltageModel &model, double freq_ghz)
+    : freqGHz(freq_ghz), vModel(&model), die(std::move(population)),
+      view(std::move(shared))
+{
+    checkAdoptable(*view);
 }
 
 void
-FaultMap::setVoltage(double vNorm)
+FaultMap::checkAdoptable(const ActiveView &v) const
+{
+    if (v.numLines() != die->size() ||
+        v.pCell() != vModel->pCell(v.voltage(), freqGHz))
+        fatal("FaultMap: the adopted view (%zu lines at %.4g x VDD) "
+              "is not of this %zu-line die at that operating point",
+              v.numLines(), v.voltage(), die->size());
+}
+
+void
+FaultMap::setVoltage(double vNorm,
+                     std::shared_ptr<const ActiveView> shared)
 {
     // A bit-exact re-set of the current operating point is an
     // idempotent no-op, not a rejected "raise": warm-store hits and
-    // replayed jobs legitimately re-apply the point voltage. Gated
-    // on voltageApplied because the constructor calls
-    // setVoltage(1.0) with currentV pre-initialized to 1.0 and that
-    // first call must still activate.
-    if (voltageApplied && vNorm == currentV)
+    // replayed jobs legitimately re-apply the point voltage.
+    if (vNorm == voltage())
         return;
-    if (monotoneDeclared && vNorm > currentV)
+    if (monotoneDeclared && vNorm > voltage())
         fatal("FaultMap::setVoltage: raising %.4g -> %.4g violates "
               "the declared monotone voltage regime (only droop-"
-              "scheduled models may raise V)", currentV, vNorm);
-    currentV = vNorm;
-    coldActivate(vModel->pCell(vNorm, freqGHz));
-    voltageApplied = true;
-}
-
-void
-FaultMap::coldActivate(double p)
-{
-    const FaultPopulation &lines = *die;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::vector<FaultCell> &src = lines[i];
-        std::vector<FaultCell> &dst = active[i];
-        dst.clear();
-        // Count first so the copy lands in one exact-sized
-        // allocation (a no-op once capacity has been established).
-        std::size_t n = 0;
-        for (const FaultCell &cell : src)
-            n += cell.threshold < p;
-        if (n == 0)
-            continue;
-        dst.reserve(n);
-        for (const FaultCell &cell : src) {
-            if (cell.threshold < p)
-                dst.push_back(cell);
-        }
+              "scheduled models may raise V)", voltage(), vNorm);
+    if (ownDie) {
+        // Planted faults live only in this map's private die.
+        ownView = std::make_shared<ActiveView>(*ownDie, lineBits(),
+                                               *vModel, vNorm, freqGHz);
+        view = ownView;
+    } else if (shared) {
+        if (shared->voltage() != vNorm ||
+            shared->lineBits() != lineBits())
+            fatal("FaultMap::setVoltage: the handed view is of %zu-bit "
+                  "lines at %.4g x VDD, not of this map at %.4g",
+                  shared->lineBits(), shared->voltage(), vNorm);
+        checkAdoptable(*shared);
+        view = std::move(shared);
+    } else {
+        view = std::make_shared<const ActiveView>(*die, lineBits(),
+                                                  *vModel, vNorm,
+                                                  freqGHz);
     }
 }
 
@@ -80,7 +72,7 @@ unsigned
 FaultMap::countFaults(std::size_t line, std::size_t prefix_bits) const
 {
     unsigned count = 0;
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         if (cell.bit >= prefix_bits)
             break; // sorted: everything after is out of the prefix
         ++count;
@@ -91,7 +83,7 @@ FaultMap::countFaults(std::size_t line, std::size_t prefix_bits) const
 bool
 FaultMap::isStuck(std::size_t line, std::uint16_t bit) const
 {
-    const std::vector<FaultCell> &cells = active[line];
+    const std::span<const FaultCell> cells = lineFaults(line);
     const auto it = std::lower_bound(
         cells.begin(), cells.end(), bit,
         [](const FaultCell &c, std::uint16_t b) { return c.bit < b; });
@@ -111,7 +103,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &value,
                             std::vector<std::size_t> &out) const
 {
     out.clear();
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         if (cell.bit < value.size() &&
             value.get(cell.bit) != cell.stuckValue) {
             out.push_back(cell.bit);
@@ -119,7 +111,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &value,
     }
     // Soft-error upsets flip healthy cells (stuck cells hold their
     // defect-driven value regardless).
-    for (const std::uint16_t bit : transientFlips[line]) {
+    for (const std::uint16_t bit : transients(line)) {
         if (bit < value.size() && !isStuck(line, bit))
             out.push_back(bit);
     }
@@ -141,7 +133,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &data,
 {
     out.clear();
     const std::size_t split = data.size();
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         bool stored;
         if (cell.bit < split)
             stored = data.get(cell.bit);
@@ -152,7 +144,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &data,
         if (stored != cell.stuckValue)
             out.push_back(cell.bit);
     }
-    for (const std::uint16_t bit : transientFlips[line]) {
+    for (const std::uint16_t bit : transients(line)) {
         if (bit < split + meta.size() && !isStuck(line, bit))
             out.push_back(bit);
     }
@@ -162,14 +154,14 @@ unsigned
 FaultMap::applyFaults(std::size_t line, BitVec &value) const
 {
     unsigned flipped = 0;
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         if (cell.bit < value.size() &&
             value.get(cell.bit) != cell.stuckValue) {
             value.flip(cell.bit);
             ++flipped;
         }
     }
-    for (const std::uint16_t bit : transientFlips[line]) {
+    for (const std::uint16_t bit : transients(line)) {
         if (bit < value.size() && !isStuck(line, bit)) {
             value.flip(bit);
             ++flipped;
@@ -181,9 +173,11 @@ FaultMap::applyFaults(std::size_t line, BitVec &value) const
 void
 FaultMap::injectTransient(std::size_t line, std::uint16_t bit)
 {
-    if (line >= transientFlips.size() || bit >= bitsPerLine)
+    if (line >= numLines() || bit >= lineBits())
         fatal("FaultMap::injectTransient: out of range (%zu, %u)",
               line, bit);
+    if (transientFlips.empty())
+        transientFlips.resize(numLines());
     // A second upset on the same cell flips it back.
     auto &flips = transientFlips[line];
     const auto it = std::find(flips.begin(), flips.end(), bit);
@@ -196,54 +190,47 @@ FaultMap::injectTransient(std::size_t line, std::uint16_t bit)
 void
 FaultMap::clearTransients(std::size_t line)
 {
-    transientFlips[line].clear();
+    if (!transientFlips.empty())
+        transientFlips[line].clear();
 }
 
 void
 FaultMap::plantFault(std::size_t line, std::uint16_t bit,
                      bool stuck_value, FaultKind kind)
 {
-    if (line >= die->size() || bit >= bitsPerLine)
+    if (line >= numLines() || bit >= lineBits())
         fatal("FaultMap::plantFault: out of range (%zu, %u)", line,
               bit);
     if (!ownDie) {
-        // Copy on first write: other maps may share the die.
+        // Copy on first write: other maps may share the die and view.
         ownDie = std::make_shared<FaultPopulation>(*die);
         die = ownDie;
+        ownView = std::make_shared<ActiveView>(*view);
+        view = ownView;
     }
-    FaultPopulation &lines = *ownDie;
-    // Replace any sampled potential fault at this position so the
-    // planted cell fully defines the bit's behaviour.
-    const auto drop = [bit](std::vector<FaultCell> &cells) {
-        std::erase_if(cells, [bit](const FaultCell &c) {
-            return c.bit == bit;
-        });
-    };
-    drop(lines[line]);
-    drop(active[line]);
+    // The planted cell replaces any sampled one at this position, so
+    // it fully defines the bit's behaviour.
     FaultCell cell;
     cell.bit = bit;
-    cell.threshold = -1.0f; // below every pCell: always active
     cell.stuckValue = stuck_value;
     cell.kind = kind;
-    // Keep the by-bit sort invariant isStuck()'s binary search needs.
-    const auto insertSorted = [&cell](std::vector<FaultCell> &cells) {
-        const auto it = std::lower_bound(
-            cells.begin(), cells.end(), cell.bit,
-            [](const FaultCell &c, std::uint16_t b) {
-                return c.bit < b;
-            });
+    cell.threshold = -1.0f; // below every pCell: always active
+    std::vector<FaultCell> &cells = (*ownDie)[line];
+    const auto it = std::lower_bound(
+        cells.begin(), cells.end(), bit,
+        [](const FaultCell &c, std::uint16_t b) { return c.bit < b; });
+    if (it != cells.end() && it->bit == bit)
+        *it = cell;
+    else
         cells.insert(it, cell);
-    };
-    insertSorted(lines[line]);
-    insertSorted(active[line]);
+    ownView->plant(line, cell);
 }
 
 FaultMap::LineHistogram
 FaultMap::histogram(std::size_t prefix_bits) const
 {
     LineHistogram hist;
-    for (std::size_t i = 0; i < active.size(); ++i) {
+    for (std::size_t i = 0; i < numLines(); ++i) {
         const unsigned n = countFaults(i, prefix_bits);
         if (n == 0)
             ++hist.zero;

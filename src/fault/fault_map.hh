@@ -24,45 +24,34 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "common/rng.hh"
+#include "fault/active_view.hh"
 #include "fault/voltage_model.hh"
 
 namespace killi
 {
 
-/** A single persistently faulty cell within a line. */
-struct FaultCell
-{
-    std::uint16_t bit;    //!< position within the line
-    float threshold;      //!< active at voltage v iff pCell(v) > threshold
-    bool stuckValue;      //!< value the cell reads back as
-    FaultKind kind;       //!< failing mechanism (for statistics)
-};
-
-/** A sampled die: the potential-fault cells of every line, each
- *  line sorted strictly ascending by bit (FaultModel samples these;
- *  any number of FaultMaps adopt one by reference). */
-using FaultPopulation = std::vector<std::vector<FaultCell>>;
-
 /**
  * Fault map for an array of lines (e.g.\ the 32768 64-byte lines of
  * the 2MB L2). The map adopts an immutable, already-sampled die (the
  * potential-fault population at the lowest supported voltage, see
- * FaultModel::samplePopulation()) and owns only its own per-voltage
- * state: setVoltage() filters the die down to the active subset for
- * the current operating point. Any number of maps may share one die.
+ * FaultModel::samplePopulation()) and the immutable ActiveView of
+ * that die at the current operating point. It owns only its view
+ * pointer, a transient (soft-error) overlay allocated on the first
+ * injectTransient(), and the private die and view copies of
+ * plantFault(). Any number of maps may share one die and one view.
  */
 class FaultMap
 {
   public:
     /**
-     * Adopt @p population by reference. Each line's cells must be
-     * sorted strictly ascending by bit with positions inside
-     * [0, line_bits); violations are fatal(). The map starts at
-     * 1.0 x VDD.
+     * Adopt @p population by reference, activated at 1.0 x VDD (the
+     * map builds its own view, which validates the die: each line
+     * sorted strictly ascending by bit, positions inside
+     * [0, line_bits); violations are fatal()).
      *
      * @param line_bits LV-vulnerable bits per line (data + any
      *                  co-located metadata such as stored parity or
@@ -74,9 +63,19 @@ class FaultMap
              std::size_t line_bits, const VoltageModel &model,
              double freq_ghz = 1.0);
 
+    /**
+     * Adopt @p population and @p view, an ActiveView of it built
+     * under @p model and @p freq_ghz, without a pass over the die:
+     * the map starts at the view's voltage. A view of another
+     * geometry or operating point is fatal().
+     */
+    FaultMap(std::shared_ptr<const FaultPopulation> population,
+             std::shared_ptr<const ActiveView> view,
+             const VoltageModel &model, double freq_ghz = 1.0);
+
     std::size_t numLines() const { return die->size(); }
-    std::size_t lineBits() const { return bitsPerLine; }
-    double voltage() const { return currentV; }
+    std::size_t lineBits() const { return view->lineBits(); }
+    double voltage() const { return view->voltage(); }
     double frequency() const { return freqGHz; }
 
     /**
@@ -84,9 +83,15 @@ class FaultMap
      * Mirrors a DVFS transition; callers (e.g.\ Killi) must reset
      * their learned state, as the paper requires. If the owning
      * model declared monotonicity, raising the voltage is fatal()
-     * (see declareMonotoneVoltage()).
+     * (see declareMonotoneVoltage()). A bit-exact re-set of the
+     * current voltage is a no-op.
+     *
+     * @param shared a view of this map's die at @p vNorm to adopt
+     *        (see the two-view constructor); when null, or once this
+     *        map has planted faults, the map builds its own.
      */
-    void setVoltage(double vNorm);
+    void setVoltage(double vNorm,
+                    std::shared_ptr<const ActiveView> shared = nullptr);
 
     /**
      * Declare whether this map lives in a monotone voltage regime.
@@ -107,10 +112,14 @@ class FaultMap
      *  fault (see plantFault()). */
     const FaultPopulation &population() const { return *die; }
 
+    /** The active view at the current voltage (shared with every map
+     *  that adopted it, until this map plants a fault). */
+    const ActiveView &activeView() const { return *view; }
+
     /** Active faulty cells of @p line at the current voltage. */
-    const std::vector<FaultCell> &lineFaults(std::size_t line) const
+    std::span<const FaultCell> lineFaults(std::size_t line) const
     {
-        return active[line];
+        return view->line(line);
     }
 
     /** Number of active faults of @p line within the first
@@ -177,7 +186,8 @@ class FaultMap
     const std::vector<std::uint16_t> &
     transients(std::size_t line) const
     {
-        return transientFlips[line];
+        static const std::vector<std::uint16_t> none;
+        return transientFlips.empty() ? none : transientFlips[line];
     }
 
     /** Histogram of active fault counts per line (0, 1, 2+) over the
@@ -195,29 +205,24 @@ class FaultMap
      *  over the sorted active set. */
     bool isStuck(std::size_t line, std::uint16_t bit) const;
 
-    /** Re-filter every line's active set against @p p. */
-    void coldActivate(double p);
+    /** fatal() unless @p v is a view of this map's die under its
+     *  voltage model and frequency. */
+    void checkAdoptable(const ActiveView &v) const;
 
-    std::size_t bitsPerLine;
     double freqGHz;
-    double currentV = 1.0;
     bool monotoneDeclared = false;
-    /** setVoltage() has run at least once (the constructor applies
-     *  1.0 x VDD with currentV pre-initialized to 1.0, so equality
-     *  against currentV alone cannot detect the first activation). */
-    bool voltageApplied = false;
     const VoltageModel *vModel;
 
-    /** Potential faults per line, sorted ascending by bit (the
-     *  samplers emit them in order, plantFault inserts in order, and
-     *  setVoltage's filter preserves order). */
+    /** Potential faults per line, sorted ascending by bit. */
     std::shared_ptr<const FaultPopulation> die;
-    /** The same object as die once plantFault() has made this map a
-     *  private, mutable copy; null while the die may be shared. */
+    /** Active cells at the current voltage (same sort invariant). */
+    std::shared_ptr<const ActiveView> view;
+    /** The same objects as die and view once plantFault() has made
+     *  them this map's private, mutable copies; null while shared. */
     std::shared_ptr<FaultPopulation> ownDie;
-    /** Active subset per line at currentV (same sort invariant). */
-    FaultPopulation active;
-    /** Live soft-error flips per line (cleared on rewrite). */
+    std::shared_ptr<ActiveView> ownView;
+    /** Live soft-error flips per line (cleared on rewrite); empty
+     *  until the first injectTransient(). */
     std::vector<std::vector<std::uint16_t>> transientFlips;
 };
 

@@ -108,9 +108,10 @@ std::unique_ptr<FaultMap>
 FaultModel::buildMapAt(std::size_t num_lines, std::size_t line_bits,
                        double vNorm) const
 {
-    return adoptAt(std::make_shared<const FaultPopulation>(
-                       samplePopulation(num_lines, line_bits)),
-                   line_bits, vNorm);
+    auto die = std::make_shared<const FaultPopulation>(
+        samplePopulation(num_lines, line_bits));
+    auto view = activeView(*die, line_bits, vNorm);
+    return adopt(std::move(die), std::move(view));
 }
 
 std::unique_ptr<FaultMap>
@@ -126,17 +127,25 @@ std::unique_ptr<FaultMap>
 FaultModel::buildMapFrom(std::shared_ptr<const FaultPopulation> die,
                          std::size_t line_bits) const
 {
-    return adoptAt(std::move(die), line_bits, voltageSchedule().front());
+    auto view = activeView(*die, line_bits, voltageSchedule().front());
+    return adopt(std::move(die), std::move(view));
+}
+
+std::shared_ptr<const ActiveView>
+FaultModel::activeView(const FaultPopulation &die, std::size_t line_bits,
+                       double vNorm) const
+{
+    return std::make_shared<const ActiveView>(die, line_bits, vm, vNorm,
+                                              sp.freqGHz);
 }
 
 std::unique_ptr<FaultMap>
-FaultModel::adoptAt(std::shared_ptr<const FaultPopulation> die,
-                    std::size_t line_bits, double vNorm) const
+FaultModel::adopt(std::shared_ptr<const FaultPopulation> die,
+                  std::shared_ptr<const ActiveView> view) const
 {
-    auto map = std::make_unique<FaultMap>(std::move(die), line_bits,
+    auto map = std::make_unique<FaultMap>(std::move(die), std::move(view),
                                           vm, sp.freqGHz);
     map->declareMonotoneVoltage(monotoneVoltage());
-    map->setVoltage(vNorm);
     return map;
 }
 

@@ -91,6 +91,26 @@ class FaultModel
                  std::size_t line_bits) const;
 
     /**
+     * The active cells of @p die at @p vNorm under this model's
+     * voltage model and frequency: the one pass over the die an
+     * operating point needs (it validates the die). Share the result
+     * among every map that adopts the die at @p vNorm (see adopt()).
+     */
+    std::shared_ptr<const ActiveView>
+    activeView(const FaultPopulation &die, std::size_t line_bits,
+               double vNorm) const;
+
+    /**
+     * A map adopting @p die and @p view (activeView() of that die),
+     * starting at the view's voltage and declared per
+     * monotoneVoltage(). No pass over the die: bit-identical to
+     * buildMapAt() at that voltage.
+     */
+    std::unique_ptr<FaultMap>
+    adopt(std::shared_ptr<const FaultPopulation> die,
+          std::shared_ptr<const ActiveView> view) const;
+
+    /**
      * Does this model promise never to raise voltage after
      * construction? Monotone maps enforce the DAC'17 superset
      * invariant in FaultMap::setVoltage(); DroopSchedule returns
@@ -112,12 +132,6 @@ class FaultModel
 
   protected:
     explicit FaultModel(const ScenarioSpec &spec) : sp(spec) {}
-
-    /** A map adopting @p die, declared per monotoneVoltage() and
-     *  activated at @p vNorm. */
-    std::unique_ptr<FaultMap>
-    adoptAt(std::shared_ptr<const FaultPopulation> die,
-            std::size_t line_bits, double vNorm) const;
 
     ScenarioSpec sp;
     VoltageModel vm;

@@ -31,14 +31,19 @@ runVoltageSweep(const FaultModel &model, std::size_t numLines,
                          });
     }
 
-    std::unique_ptr<FaultMap> map = model.buildMapAt(
-        numLines, lineBits, points[order.front()]);
-    ++st.coldActivations;
+    // One sampled die; each distinct point pays one pass over it to
+    // build its active view, which the map adopts.
+    const auto die = std::make_shared<const FaultPopulation>(
+        model.samplePopulation(numLines, lineBits));
+    const auto viewAt = [&](double v) {
+        ++st.coldActivations;
+        return model.activeView(*die, lineBits, v);
+    };
+    std::unique_ptr<FaultMap> map =
+        model.adopt(die, viewAt(points[order.front()]));
     for (const std::size_t idx : order) {
-        if (points[idx] != map->voltage()) {
-            map->setVoltage(points[idx]);
-            ++st.coldActivations;
-        }
+        if (points[idx] != map->voltage())
+            map->setVoltage(points[idx], viewAt(points[idx]));
         fn(idx, points[idx], *map);
     }
     if (keepMap)

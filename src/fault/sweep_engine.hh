@@ -3,9 +3,10 @@
  * Voltage-sweep engine.
  *
  * A voltage sweep visits the same fault population at many operating
- * points. The engine samples the die once and re-filters it at each
- * point (FaultMap::setVoltage()), so a sweep costs one sampling plus
- * one O(population) activation per point instead of one sampling per
+ * points. The engine samples the die once and builds one ActiveView
+ * of it per point, which the sweep's map adopts
+ * (FaultMap::setVoltage()), so a sweep costs one sampling plus one
+ * O(population) activation per point instead of one sampling per
  * point. Monotone models are visited from the highest voltage down,
  * as their maps may never be raised; droop-scheduled models may raise
  * V mid-schedule and are visited in the caller's order. Either way
@@ -40,8 +41,9 @@ struct VoltageSweepStats
 {
     /** Points visited (== the caller's vector size). */
     std::size_t points = 0;
-    /** Points that paid a full O(population) re-filter: every point
-     *  except a repeat of the voltage visited just before it. */
+    /** Points that paid a full O(population) re-filter (one
+     *  ActiveView build): every point except a repeat of the voltage
+     *  visited just before it. */
     std::size_t coldActivations = 0;
 };
 

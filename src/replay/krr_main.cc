@@ -53,27 +53,18 @@ cmdRecord(int argc, char **argv)
     Options opts("krr record",
                  "record one evaluation sweep into a replayable "
                  "killi-recording-v1 file");
-    declareSweepOptions(opts, "krr");
-    const auto &out = opts.add("out", "run.krr.json",
-                               "recording output path");
-    const auto &reference = opts.add<bool>(
-        "reference", false,
-        "run with the reference (non-bit-sliced) hot paths");
-    const auto &perturb = opts.add<std::uint64_t>(
-        "perturb-decode", std::uint64_t{0},
-        "arm the Nth sliced SECDED decode to flip one syndrome bit "
-        "(bisector fault injection; 0 disables)");
+    declareRecordOptions(opts);
     opts.parse(argc, argv);
 
-    SweepOptions sopt = sweepOptions(opts);
+    const SweepOptions sopt = sweepOptions(opts);
     RunMode mode;
-    mode.reference = reference.value();
-    mode.perturbDecode = perturb.value();
+    mode.reference = opts.get<bool>("reference");
+    mode.perturbDecode = opts.get<std::uint64_t>("perturb-decode");
+    const std::string out = opts.get<std::string>("out");
 
     const SweepSession s = recordSweep(sopt, mode);
-    s.recording.writeFile(out.value());
-    std::cout << s.recording.summary() << "\nwrote " << out.value()
-              << "\n";
+    s.recording.writeFile(out);
+    std::cout << s.recording.summary() << "\nwrote " << out << "\n";
     return 0;
 }
 

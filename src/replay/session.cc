@@ -462,6 +462,19 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     return s;
 }
 
+void
+declareRecordOptions(Options &opts)
+{
+    declareSweepOptions(opts, "krr", 1.0, SweepKnobs::Recorded);
+    opts.add("out", "run.krr.json", "recording output path");
+    opts.add<bool>("reference", false,
+                   "run with the reference (non-bit-sliced) hot paths");
+    opts.add<std::uint64_t>(
+        "perturb-decode", std::uint64_t{0},
+        "arm the Nth sliced SECDED decode to flip one syndrome bit "
+        "(bisector fault injection; 0 disables)");
+}
+
 SweepOptions
 sweepOptionsFromMeta(const Recording &rec)
 {

@@ -180,6 +180,14 @@ SweepSession recordSweep(const SweepOptions &opt,
                          const RunMode &mode = {});
 
 /**
+ * Declare `krr record`'s knobs on @p opts: the sweep knobs
+ * recordSweep() honours (SweepKnobs::Recorded, so jobs=, json= and
+ * timeseries= are unknown options) plus out=, reference= and
+ * perturb-decode=.
+ */
+void declareRecordOptions(Options &opts);
+
+/**
  * Re-derive and re-run a sweep from @p rec alone (its meta carries
  * the resolved options and mode), verifying every recorded input.
  */

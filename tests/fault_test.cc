@@ -11,9 +11,11 @@
 #include <cmath>
 #include <map>
 
+#include "bench/sweep.hh"
 #include "common/bitvec.hh"
 #include "common/hotpath.hh"
 #include "common/rng.hh"
+#include "fault/active_view.hh"
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
@@ -420,7 +422,7 @@ snapshotActive(const FaultMap &map)
 {
     std::vector<std::vector<FaultCell>> out(map.numLines());
     for (std::size_t l = 0; l < map.numLines(); ++l)
-        out[l] = map.lineFaults(l);
+        out[l].assign(map.lineFaults(l).begin(), map.lineFaults(l).end());
     return out;
 }
 
@@ -622,5 +624,187 @@ TEST(SweepEngineTest, BuildMapFromPopulationIsBitIdentical)
                 model->samplePopulation(256, 720)),
             720);
         expectActiveIdentical(*shared, *cold, name);
+    }
+}
+
+// --- Shared active views -----------------------------------------------
+
+namespace
+{
+
+/** Every query a protection scheme makes of a map agrees between
+ *  @p a and @p b: active cells, prefix counts, visible errors of
+ *  random data and the Fig. 2 histogram. */
+void
+expectSameQueries(const FaultMap &a, const FaultMap &b,
+                  const std::string &ctx)
+{
+    expectActiveIdentical(a, b, ctx);
+    Rng rng(17);
+    BitVec data(720);
+    for (std::size_t l = 0; l < a.numLines(); ++l) {
+        ASSERT_EQ(a.countFaults(l, 512), b.countFaults(l, 512))
+            << ctx << " line " << l;
+        data.randomize(rng);
+        ASSERT_EQ(a.visibleErrors(l, data), b.visibleErrors(l, data))
+            << ctx << " line " << l;
+    }
+    for (const std::size_t prefix : {512, 720}) {
+        const FaultMap::LineHistogram ha = a.histogram(prefix);
+        const FaultMap::LineHistogram hb = b.histogram(prefix);
+        EXPECT_EQ(ha.zero, hb.zero) << ctx;
+        EXPECT_EQ(ha.one, hb.one) << ctx;
+        EXPECT_EQ(ha.twoPlus, hb.twoPlus) << ctx;
+    }
+}
+
+/** A map that activates @p die at @p v on its own (no shared view). */
+FaultMap
+coldMap(const FaultModel &model,
+        const std::shared_ptr<const FaultPopulation> &die, double v)
+{
+    FaultMap map(die, 720, model.voltageModel(), model.spec().freqGHz);
+    map.setVoltage(v);
+    return map;
+}
+
+} // namespace
+
+TEST(ActiveViewTest, SharedViewMatchesColdActivation)
+{
+    // Two maps adopting one shared view answer every query exactly as
+    // a map that activated the die itself, for every model, at every
+    // voltage, including a raise under droop.
+    for (const char *name : {"iid", "clustered", "burst", "droop"}) {
+        ScenarioSpec spec;
+        spec.model = name;
+        spec.seed = 23;
+        const auto model = FaultModel::fromScenario(spec);
+        const auto die = std::make_shared<const FaultPopulation>(
+            model->samplePopulation(512, 720));
+        for (const double v : {0.65, 0.6, 0.575}) {
+            const std::string ctx =
+                std::string(name) + " v=" + std::to_string(v);
+            const auto view = model->activeView(*die, 720, v);
+            const auto a = model->adopt(die, view);
+            const auto b = model->adopt(die, view);
+            EXPECT_EQ(&a->activeView(), view.get()) << ctx;
+            EXPECT_EQ(&b->activeView(), view.get()) << ctx;
+            EXPECT_EQ(a->voltage(), v) << ctx;
+            const FaultMap cold = coldMap(*model, die, v);
+            expectSameQueries(*a, cold, ctx);
+            expectSameQueries(*b, cold, ctx);
+        }
+        if (model->monotoneVoltage())
+            continue;
+        // Droop may raise V: a map stepped down and back up through
+        // handed views equals a cold activation at the raised point.
+        auto map = model->adopt(die, model->activeView(*die, 720, 0.575));
+        const auto raised = model->activeView(*die, 720, 0.625);
+        map->setVoltage(0.625, raised);
+        EXPECT_EQ(&map->activeView(), raised.get());
+        expectSameQueries(*map, coldMap(*model, die, 0.625),
+                          std::string(name) + " raised to 0.625");
+    }
+}
+
+TEST(ActiveViewTest, PlantingLeavesSharedViewAndSiblingsUnchanged)
+{
+    ScenarioSpec spec;
+    spec.seed = 37;
+    const auto model = FaultModel::fromScenario(spec);
+    const auto die = std::make_shared<const FaultPopulation>(
+        model->samplePopulation(256, 720));
+    const auto view = model->activeView(*die, 720, 0.575);
+    const auto a = model->adopt(die, view);
+    const auto b = model->adopt(die, view);
+    const auto before = snapshotActive(*b);
+
+    std::size_t line = 0;
+    while (line < b->numLines() && b->lineFaults(line).empty())
+        ++line;
+    ASSERT_LT(line, b->numLines());
+    const FaultCell first = b->lineFaults(line).front();
+    a->plantFault(line, first.bit, !first.stuckValue);
+    a->plantFault(line, 719, true);
+    a->plantFault(line + 1, 3, false);
+
+    // a planted into private copies of the die and the view.
+    EXPECT_NE(&a->activeView(), view.get());
+    EXPECT_NE(&a->population(), die.get());
+    EXPECT_EQ(a->lineFaults(line).front().stuckValue, !first.stuckValue);
+    EXPECT_EQ(a->lineFaults(line).back().bit, 719);
+    EXPECT_EQ(a->countFaults(line + 1, 4), 1u);
+    // b still reads the shared view and die, which did not move.
+    EXPECT_EQ(&b->activeView(), view.get());
+    EXPECT_EQ(&b->population(), die.get());
+    const auto after = snapshotActive(*b);
+    ASSERT_EQ(before.size(), after.size());
+    for (std::size_t l = 0; l < before.size(); ++l) {
+        ASSERT_EQ(before[l].size(), after[l].size()) << "line " << l;
+        for (std::size_t i = 0; i < before[l].size(); ++i) {
+            EXPECT_EQ(before[l][i].bit, after[l][i].bit);
+            EXPECT_EQ(before[l][i].stuckValue, after[l][i].stuckValue);
+        }
+    }
+    expectSameQueries(*b, coldMap(*model, die, 0.575), "sibling");
+
+    // The plants survive a voltage step, and a handed shared view
+    // cannot drop them: a planted map activates its own die.
+    const auto lower = model->activeView(*die, 720, 0.55);
+    a->setVoltage(0.55, lower);
+    EXPECT_NE(&a->activeView(), lower.get());
+    EXPECT_EQ(a->lineFaults(line).back().bit, 719);
+    EXPECT_EQ(a->countFaults(line + 1, 4), 1u);
+}
+
+TEST(ActiveViewDeathTest, UnsortedOrOutOfRangeDieIsFatalAtViewBuild)
+{
+    const VoltageModel vm;
+    const auto cell = [](std::uint16_t bit) {
+        return FaultCell{bit, true, FaultKind::Writeability, 0.0f};
+    };
+    const FaultPopulation unsorted{{}, {cell(5), cell(3)}};
+    const FaultPopulation duplicate{{cell(4), cell(4)}};
+    const FaultPopulation outside{{cell(1), cell(720)}};
+    EXPECT_DEATH(ActiveView(unsorted, 720, vm, 0.6, 1.0),
+                 "population line 1 not sorted strictly by bit at "
+                 "position 1");
+    EXPECT_DEATH(ActiveView(duplicate, 720, vm, 0.6, 1.0),
+                 "population line 0 not sorted strictly by bit");
+    EXPECT_DEATH(ActiveView(outside, 720, vm, 0.6, 1.0),
+                 "population line 0 cell 720 outside 720-bit line");
+    // A map that activates the die itself builds a view too.
+    EXPECT_DEATH(FaultMap(std::make_shared<const FaultPopulation>(
+                              unsorted),
+                          720, vm),
+                 "not sorted strictly by bit");
+    // Adopting a view of another die is a caller bug.
+    const auto other = std::make_shared<const ActiveView>(
+        FaultPopulation(3), 720, vm, 0.6, 1.0);
+    EXPECT_DEATH(FaultMap(std::make_shared<const FaultPopulation>(2),
+                          other, vm),
+                 "is not of this 2-line die");
+}
+
+TEST(ActiveViewTest, EvaluationSweepBuildsOneViewPerCampaign)
+{
+    // Every point of a campaign runs at the same operating point of
+    // the same die, so the campaign activates it once and every
+    // point, on every worker, adopts that one view.
+    SweepOptions opt;
+    opt.scale = 0.001;
+    opt.warmupPasses = 0;
+    opt.jobs = 2;
+    opt.workloads = {"spmv", "xsbench"};
+    opt.schemes = {"DECTED", "Killi 1:256"};
+    const std::uint64_t before = ActiveView::builds();
+    const SweepResult res = runEvaluationSweep(opt);
+    EXPECT_EQ(ActiveView::builds() - before, 1u);
+    EXPECT_EQ(res.campaign.jobs.size(), 6u);
+    ASSERT_EQ(res.workloads.size(), 2u);
+    for (const WorkloadSweep &w : res.workloads) {
+        for (const SchemeRun &run : w.schemes)
+            EXPECT_TRUE(run.ok) << w.workload << "/" << run.scheme;
     }
 }

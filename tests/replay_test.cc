@@ -396,5 +396,46 @@ TEST(ReplayScenario, TamperedResultDigestIsFlagged)
     EXPECT_EQ(replayed.divergence.stream, "result");
 }
 
+
+/** Parse one krr record command line (after the verb). */
+void
+parseRecord(Options &opts, std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    static char name[] = "krr";
+    argv.push_back(name);
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    opts.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(KrrRecordDeathTest, KnobsRecordSweepIgnoresAreUnknown)
+{
+    // recordSweep() runs on one worker and writes only the recording,
+    // so krr record does not take jobs=, json= or timeseries=.
+    for (const std::string arg :
+         {"json=x.json", "timeseries=x.json", "jobs=4"}) {
+        const std::string key = arg.substr(0, arg.find('='));
+        EXPECT_DEATH(
+            {
+                Options opts("krr record", "test");
+                declareRecordOptions(opts);
+                parseRecord(opts, {arg});
+            },
+            "unknown option '" + key + "'")
+            << arg;
+    }
+    // The knobs it honours still parse.
+    Options opts("krr record", "test");
+    declareRecordOptions(opts);
+    parseRecord(opts, {"scale=0.01", "stats-interval=1000"});
+    const SweepOptions sopt = sweepOptions(opts);
+    EXPECT_EQ(sopt.scale, 0.01);
+    EXPECT_EQ(sopt.statsInterval, 1000u);
+    EXPECT_EQ(sopt.jobs, 1u);
+    EXPECT_TRUE(sopt.jsonPath.empty());
+    EXPECT_TRUE(sopt.timeseriesPath.empty());
+}
+
 } // namespace
 } // namespace killi::replay

@@ -1127,8 +1127,8 @@ TEST(WarmStore, SingleFlightSynthesizesOnceAcrossConcurrentCallers)
     const auto synth = [&] {
         ++syntheses;
         gate.future.wait();
-        return FaultPopulation{{FaultCell{7, 0.5f, true,
-                                          FaultKind::Writeability}}};
+        return FaultPopulation{{FaultCell{7, true,
+                                          FaultKind::Writeability, 0.5f}}};
     };
     const std::string key = "warm-test-key";
     std::shared_ptr<const FaultPopulation> a, b;
@@ -1162,7 +1162,7 @@ TEST(WarmStore, ByteBoundEvictsLruAndClearZeroesTheGauges)
         pop[0].reserve(100);
         for (std::uint16_t bit = 0; bit < 100; ++bit)
             pop[0].push_back(
-                FaultCell{bit, 0.5f, false, FaultKind::Writeability});
+                FaultCell{bit, false, FaultKind::Writeability, 0.5f});
         return pop;
     };
     const std::size_t payloadBytes = sizeof(FaultPopulation) +
