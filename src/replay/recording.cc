@@ -29,8 +29,11 @@ parseU64(const Json &v, std::uint64_t &out, std::string &err,
 {
     if (v.kind() == Json::Kind::String) {
         const std::string &s = v.asString();
-        if (s.empty()) {
-            err = std::string(what) + ": empty numeric string";
+        // Digits only: strtoull alone would also take leading
+        // whitespace and a sign, wrapping "-1" to 2^64-1.
+        if (s.empty() || s[0] < '0' || s[0] > '9') {
+            err = std::string(what) + ": bad numeric string '" + s +
+                  "'";
             return false;
         }
         errno = 0;

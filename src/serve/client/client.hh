@@ -1,7 +1,7 @@
 /**
  * @file
- * Blocking client for the kserved protocol, used by kcli, kload, ktop,
- * the fleet coordinator, and the serve tests. One Client
+ * Blocking client for the kserved protocol, used by kcli, ktop,
+ * perfbench's serve_mix and the serve tests. One Client
  * is one connection; frames go out with send() and come back —
  * strictly in the order the daemon enqueued them — with recv().
  *
@@ -27,11 +27,11 @@ namespace killi::serve
 /**
  * Connection-establishment policy. The default is the historical
  * behaviour: one blocking attempt, no deadline. Tools that race a
- * daemon's startup (kfleetd spawning workers, scripts that launch
- * kserved in the background) raise attempts so ECONNREFUSED /
- * ENOENT during the boot window becomes a bounded exponential-
- * backoff retry loop instead of an instant failure, and set
- * timeoutMs so a SYN black hole is a diagnosed error, not a hang.
+ * daemon's startup (kcli and perfbench after launching kserved in
+ * the background) raise attempts so ECONNREFUSED / ENOENT during the
+ * boot window becomes a bounded exponential-backoff retry loop
+ * instead of an instant failure, and set timeoutMs so a SYN black
+ * hole is a diagnosed error, not a hang.
  */
 struct ConnectOptions
 {

@@ -109,29 +109,6 @@ printTimings(const Json &terminal)
     table.print(std::cerr);
 }
 
-/**
- * The per-shard worker-attribution table a fleet coordinator ships
- * on the terminal frame's "fleet" sibling (stderr, like timings=,
- * so json=/stdout result documents stay clean).
- */
-void
-printFleetAttribution(const Json &fleet)
-{
-    if (!fleet.contains("shards") ||
-        fleet.at("shards").kind() != Json::Kind::Array)
-        return;
-    const Json &shards = fleet.at("shards");
-    TextTable table;
-    table.header({"shard", "worker", "origin"});
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        const Json &s = shards.at(i);
-        table.row({s.at("workload").asString(),
-                   s.at("worker").asString(),
-                   s.at("origin").asString()});
-    }
-    table.print(std::cerr);
-}
-
 void
 connectTo(const Options &opts, Client &client)
 {
@@ -240,8 +217,6 @@ runSubmit(Options &opts)
     const Json &result = terminal.at("result");
     if (opts.get<bool>("timings"))
         printTimings(terminal);
-    if (terminal.contains("fleet"))
-        printFleetAttribution(terminal.at("fleet"));
 
     const std::string jsonPath = opts.get<std::string>("json");
     if (!jsonPath.empty()) {
@@ -285,15 +260,6 @@ runIdCommand(Options &opts, const std::string &cmd)
         table.row(
             {"state",
              known ? reply.at("state").asString() : "unknown"});
-        // A fleet coordinator annotates status with the campaign's
-        // shard counts while it is in flight.
-        if (reply.contains("fleet")) {
-            for (const auto &[key, value] :
-                 reply.at("fleet").members())
-                if (value.kind() != Json::Kind::Array &&
-                    value.kind() != Json::Kind::Object)
-                    table.row({"fleet." + key, scalarCell(value)});
-        }
         table.print(std::cout);
         return known ? 0 : 1;
     } else {

@@ -61,13 +61,6 @@ main(int argc, char **argv)
                            "beyond it get an \"overloaded\" error "
                            "frame and are closed (0 = unbounded)")
             .range(0u, 65536u);
-    auto &debugJobDelayMs =
-        opts.add<std::uint64_t>(
-                "debug-job-delay-ms", std::uint64_t{0},
-                "testing/benchmark hook: sleep this long "
-                "(cancellably) before running each admitted job, "
-                "emulating a fixed service time for load runs")
-            .range(std::uint64_t{0}, std::uint64_t{600000});
     auto &maxQueue =
         opts.add<unsigned>("max-queue", 64u,
                            "ready-queue bound; submits beyond it "
@@ -103,8 +96,6 @@ main(int argc, char **argv)
     sopt.threads = threads;
     sopt.maxQueue = maxQueue;
     sopt.maxConns = maxConns.value();
-    sopt.debugJobDelaySeconds =
-        double(debugJobDelayMs.value()) / 1000.0;
     sopt.cacheEntries = cacheEntries;
     sopt.warmStoreMb = warmStoreMb.value();
     sopt.metricsHttp = opts.has("metrics-port");

@@ -53,8 +53,7 @@ setNonBlocking(int fd)
 std::string
 resultFrameText(std::uint64_t id, bool cached, const std::string &hash,
                 const std::string &resultText,
-                const std::string &spansText = "",
-                const std::string &fleetText = "")
+                const std::string &spansText)
 {
     std::string out = "{\"type\":\"result\",\"id\":";
     out += std::to_string(id);
@@ -64,17 +63,12 @@ resultFrameText(std::uint64_t id, bool cached, const std::string &hash,
     out += hash;
     out += "\",\"outcome\":\"done\",\"result\":";
     out += resultText;
-    // Spans and fleet attribution ride as frame-level siblings,
-    // never inside "result": the "result" member is the cached bytes
-    // and must stay byte-identical between the cold run and every
-    // later hit.
+    // Spans ride as a frame-level sibling, never inside "result":
+    // the "result" member is the cached bytes and must stay
+    // byte-identical between the cold run and every later hit.
     if (!spansText.empty()) {
         out += ",\"spans\":";
         out += spansText;
-    }
-    if (!fleetText.empty()) {
-        out += ",\"fleet\":";
-        out += fleetText;
     }
     out += "}";
     return out;
@@ -845,11 +839,6 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
             doc.set("known", Json::boolean(known));
             if (known)
                 doc.set("state", Json::string(jobStateName(st)));
-            if (opt.statusAnnotator) {
-                const Json extra = opt.statusAnnotator(id);
-                if (!extra.isNull())
-                    doc.set("fleet", extra);
-            }
         } else {
             doc.set("type", Json::string("cancel_reply"));
             doc.set("id", Json::number(id));
@@ -920,47 +909,28 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
         return;
     }
 
-    auto fleetInfo = std::make_shared<Json>();
     {
         std::lock_guard<std::mutex> lock(jobsMtx);
         jobs.emplace(id, JobRecord{conn, canonical, hash,
-                                   spans->submit, spans, fleetInfo});
+                                   spans->submit, spans});
     }
 
-    // Sweeps go through the fleet backend when one is configured.
-    const bool viaFleet = opt.fleetRunner != nullptr;
     const bool stream = sub.stream;
-    auto work = [this, sub, id, conn, stream, spans, fleetInfo,
-                 viaFleet](const CancelToken &cancel)
-        -> std::string {
+    auto work = [this, sub, id, conn, stream,
+                 spans](const CancelToken &cancel) -> std::string {
         const auto workStart = std::chrono::steady_clock::now();
         spans->queue = sinceSeconds(spans->submit, workStart) -
                        spans->decode;
-        if (opt.debugJobDelaySeconds > 0) {
-            // Cancellable fixed service-time injection (emulation
-            // hook; see ServerOptions).
-            const auto until =
-                workStart +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        opt.debugJobDelaySeconds));
-            while (!cancel.cancelled() &&
-                   std::chrono::steady_clock::now() < until)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            if (cancel.cancelled())
-                return "";
-        }
         const SweepOptions &sopt = sub.sopt;
-        FleetProgressFn progressFn;
+        SweepOptions ropt = sopt;
+        ropt.cancel = &cancel;
         if (stream) {
             // Periodic snapshots throttled to ~10/s per job; point
             // completions always go out.
             auto lastMs = std::make_shared<std::atomic<long long>>(
                 -1000000);
-            progressFn = [this, id, conn,
-                          lastMs](const SweepProgress &p) {
+            ropt.onProgress = [this, id, conn,
+                               lastMs](const SweepProgress &p) {
                 if (conn->closed.load(std::memory_order_relaxed))
                     return;
                 if (!p.pointDone) {
@@ -987,45 +957,33 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
         Json doc = Json::object();
         const auto preRun = std::chrono::steady_clock::now();
         spans->setup = sinceSeconds(workStart, preRun);
-        std::chrono::steady_clock::time_point postRun;
-        if (viaFleet) {
-            doc = opt.fleetRunner(id, sub, cancel, progressFn,
-                                  fleetInfo.get());
-            postRun = std::chrono::steady_clock::now();
-            if (cancel.cancelled())
-                return "";
-        } else {
-            doc.set("bench", Json::string("kserved"));
-            doc.set("options", resolvedOptionsJson(sopt));
-            SweepOptions ropt = sopt;
-            ropt.cancel = &cancel;
-            ropt.onProgress = progressFn;
-            // Jobs share sampled dies through the warm store: jobs
-            // that differ only in workload/scheme subsets miss the
-            // result cache but describe the same die, so it is
-            // sampled once (single-flight) and every campaign of it
-            // adopts it by reference.
-            if (opt.warmStoreMb > 0) {
-                ropt.warmFaultSource = [this](const FaultModel &model,
-                                              std::size_t numLines,
-                                              std::size_t lineBits) {
-                    return warm.faultPopulation(
-                        WarmStore::faultMapKey(model.spec(), numLines,
-                                               lineBits),
-                        [&model, numLines, lineBits] {
-                            return model.samplePopulation(numLines,
-                                                          lineBits);
-                        });
-                };
-            }
-            const SweepResult res = runEvaluationSweep(ropt);
-            postRun = std::chrono::steady_clock::now();
-            if (cancel.cancelled())
-                return "";
-            const Json body = sweepToJson(sopt, res);
-            for (const auto &[key, value] : body.members())
-                doc.set(key, value);
+        doc.set("bench", Json::string("kserved"));
+        doc.set("options", resolvedOptionsJson(sopt));
+        // Jobs share sampled dies through the warm store: jobs that
+        // differ only in workload/scheme subsets miss the result
+        // cache but describe the same die, so it is sampled once
+        // (single-flight) and every campaign of it adopts it by
+        // reference.
+        if (opt.warmStoreMb > 0) {
+            ropt.warmFaultSource = [this](const FaultModel &model,
+                                          std::size_t numLines,
+                                          std::size_t lineBits) {
+                return warm.faultPopulation(
+                    WarmStore::faultMapKey(model.spec(), numLines,
+                                           lineBits),
+                    [&model, numLines, lineBits] {
+                        return model.samplePopulation(numLines,
+                                                      lineBits);
+                    });
+            };
         }
+        const SweepResult res = runEvaluationSweep(ropt);
+        const auto postRun = std::chrono::steady_clock::now();
+        if (cancel.cancelled())
+            return "";
+        const Json body = sweepToJson(sopt, res);
+        for (const auto &[key, value] : body.members())
+            doc.set(key, value);
         spans->run = sinceSeconds(preRun, postRun);
         std::string text = doc.toString(0);
         spans->serializeEnd = std::chrono::steady_clock::now();
@@ -1106,25 +1064,19 @@ Server::finishJob(std::uint64_t id, JobState state,
              sp.serialize, sp.reply, rec.hash.c_str());
     }
 
-    std::string fleetText;
-    if (rec.fleetInfo && !rec.fleetInfo->isNull())
-        fleetText = rec.fleetInfo->toString(0);
-
     if (state == JobState::Done) {
         cache.insert(rec.canonicalKey, resultText);
         enqueueFrame(rec.conn,
                      encodeFramePayload(resultFrameText(
-                         id, false, rec.hash, resultText, spansText,
-                         fleetText)));
+                         id, false, rec.hash, resultText,
+                         spansText)));
     } else {
-        Json doc = terminalFrame(id, rec.hash,
-                                 state == JobState::Failed
-                                     ? "failed"
-                                     : "cancelled",
-                                 error);
-        if (!fleetText.empty())
-            doc.set("fleet", *rec.fleetInfo);
-        enqueueFrame(rec.conn, encodeFrame(doc));
+        enqueueFrame(rec.conn,
+                     encodeFrame(terminalFrame(
+                         id, rec.hash,
+                         state == JobState::Failed ? "failed"
+                                                   : "cancelled",
+                         error)));
     }
 }
 
@@ -1166,8 +1118,6 @@ Server::statsJson()
             Json::number(mProtocolErrors->value()));
     out.set("connections", Json::number(mConnections->value()));
     doc.set("outcomes", out);
-    if (opt.statsExtra)
-        doc.set("fleet", opt.statsExtra());
     return doc;
 }
 

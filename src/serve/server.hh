@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,24 +55,6 @@
 
 namespace killi::serve
 {
-
-/** Progress sink a fleet runner forwards worker progress into. */
-using FleetProgressFn = std::function<void(const SweepProgress &)>;
-
-/**
- * Pluggable campaign backend: when set, submits run through this
- * instead of a local runEvaluationSweep().
- * Must return the complete result document (bench/options/sweep/
- * workloads/campaign) and may fill @p attribution with a per-shard
- * worker/origin breakdown that rides the terminal result frame as
- * the "fleet" sibling. Throw std::runtime_error on unrecoverable
- * failure (becomes outcome "failed"); return promptly once
- * @p cancel trips (becomes outcome "cancelled").
- */
-using FleetRunner = std::function<Json(
-    std::uint64_t id, const SubmitRequest &req,
-    const CancelToken &cancel, const FleetProgressFn &progress,
-    Json *attribution)>;
 
 struct ServerOptions
 {
@@ -104,20 +85,6 @@ struct ServerOptions
     /** Jobs slower than this get a structured warn() line with their
      *  stage breakdown and cache key; 0 disables. */
     double slowJobSeconds = 0.0;
-    /**
-     * Testing/benchmark hook: every admitted job sleeps this long
-     * (cancellably) before running. Emulates a fixed service time
-     * for kload scaling runs on core-starved hosts.
-     */
-    double debugJobDelaySeconds = 0.0;
-    /** Fleet backend; see FleetRunner. Unset = run sweeps locally. */
-    FleetRunner fleetRunner;
-    /** Optional per-job annotation attached to status_reply as the
-     *  "fleet" member (null return = omit). */
-    std::function<Json(std::uint64_t id)> statusAnnotator;
-    /** Optional extra stats block attached to stats_reply as the
-     *  "fleet" member. */
-    std::function<Json()> statsExtra;
 };
 
 class Server
@@ -164,23 +131,6 @@ class Server
     /** The operational metrics plane (also served via the `metrics`
      *  frame and GET /metrics). */
     metrics::MetricsRegistry &metrics() { return registry; }
-
-    /**
-     * Install the fleet backend after construction but before
-     * start(). Exists because the coordinator registers its
-     * kfleet_* families in this server's registry — which only
-     * exists once the Server does — so kfleetd builds the Server
-     * first, the Coordinator second, and wires the two here.
-     */
-    void
-    setFleetBackend(FleetRunner runner,
-                    std::function<Json(std::uint64_t)> status,
-                    std::function<Json()> stats)
-    {
-        opt.fleetRunner = std::move(runner);
-        opt.statusAnnotator = std::move(status);
-        opt.statsExtra = std::move(stats);
-    }
 
   private:
     /**
@@ -261,9 +211,6 @@ class Server
         std::string hash;
         std::chrono::steady_clock::time_point start;
         std::shared_ptr<JobSpans> spans;
-        /** Fleet attribution filled by the runner; rides the
-         *  terminal frame as the "fleet" sibling when non-null. */
-        std::shared_ptr<Json> fleetInfo;
     };
 
     /** One /metrics HTTP client (reactor-only; no locking). */

@@ -1,11 +1,9 @@
 /**
  * @file
- * Submit-frame validation and canonicalization, shared between the
- * daemon (src/serve/server.cc) and the fleet coordinator
- * (src/fleet): both must resolve a "submit" frame to the same
- * SweepOptions and — critically — the same canonical cache key, so
- * a shard computed by any worker is content-addressed identically
- * everywhere (SERVING.md, "Cache key").
+ * Submit-frame validation and canonicalization for the daemon
+ * (src/serve/server.cc): a "submit" frame resolves to the
+ * SweepOptions it runs and to the canonical cache key its result is
+ * content-addressed by (SERVING.md, "Cache key").
  */
 
 #ifndef KILLI_SERVE_SUBMIT_HH

@@ -7,13 +7,18 @@
  * build; tampered recordings are flagged at their first divergent
  * stream entry; and the bisector, fed two runs that differ by one
  * seeded SECDED decode perturbation at a *known* (tick, seq),
- * reports exactly that site in O(log n) digest probes.
+ * reports exactly that site in O(log n) digest probes. The
+ * killi-recording-v1 parser is fuzzed with seeded byte and
+ * structural mutations of a real recording: each one is rejected
+ * with a reason or loads a recording krr can summarize and bisect.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -307,11 +312,275 @@ TEST(RecordingFormat, RejectsMalformedDocuments)
     EXPECT_FALSE(Recording::tryFromJson(doc, out, &err));
     EXPECT_NE(err.find(kRecordingFormat), std::string::npos) << err;
 
+    // 64-bit fields travel as decimal strings; a sign or leading
+    // space is malformed, not a wrapped value.
+    for (const char *bad : {"-1", " 7", "+7"}) {
+        Json signedDoc = recordHarness(0).toJson();
+        signedDoc.set("perturb_decode", Json::string(bad));
+        EXPECT_FALSE(Recording::tryFromJson(signedDoc, out, &err))
+            << bad;
+    }
+
     // A well-formed file whose sweep meta is missing cannot be
     // replayed as a sweep.
     Recording noMeta = recordHarness(0);
     noMeta.tool = "sweep";
     EXPECT_DEATH(sweepOptionsFromMeta(noMeta), "no meta.options");
+}
+
+// ---------------------------------------------------------------
+// killi-recording-v1 parser fuzz (runs under ASan/UBSan in CI)
+// ---------------------------------------------------------------
+
+/**
+ * The fuzz seed: a real sweep recording, cut to its first pops and
+ * trace records (checkpoints rebuilt, marks clamped) so the document
+ * stays a few KB and thousands of mutations stay cheap.
+ */
+const Recording &
+fuzzSeed()
+{
+    static const Recording seed = [] {
+        Recording rec = recordSweep(tinySweep()).recording;
+        rec.pops.resize(std::min<std::size_t>(rec.pops.size(), 48));
+        rec.trace.resize(std::min<std::size_t>(rec.trace.size(), 48));
+        for (Mark &m : rec.marks) {
+            m.pops = std::min<std::uint64_t>(m.pops, rec.pops.size());
+            m.trace =
+                std::min<std::uint64_t>(m.trace, rec.trace.size());
+        }
+        rec.rebuildCheckpoints(16);
+        return rec;
+    }();
+    return seed;
+}
+
+/**
+ * One candidate document: the parser either rejects it and says why,
+ * or loads a recording that everything krr does with a loaded file
+ * (info, bisect against another recording) handles. Returns whether
+ * it loaded.
+ */
+bool
+rejectedOrUsable(const Json &doc)
+{
+    Recording loaded;
+    std::string err;
+    if (!Recording::tryFromJson(doc, loaded, &err)) {
+        EXPECT_FALSE(err.empty());
+        return false;
+    }
+    EXPECT_FALSE(loaded.summary().empty());
+    EXPECT_FALSE(bisectRecordings(fuzzSeed(), loaded).summary().empty());
+    EXPECT_FALSE(bisectRecordings(loaded, fuzzSeed()).summary().empty());
+    return true;
+}
+
+/** @p doc with member @p key set to @p value, or dropped when
+ *  @p value is null. */
+Json
+withMember(const Json &doc, const std::string &key, const Json *value)
+{
+    Json out = Json::object();
+    for (const auto &[name, member] : doc.members()) {
+        if (name != key)
+            out.set(name, member);
+        else if (value)
+            out.set(name, *value);
+    }
+    return out;
+}
+
+/** @p arr with element @p index replaced by @p value. */
+Json
+withElement(const Json &arr, std::size_t index, const Json &value)
+{
+    Json out = Json::array();
+    for (std::size_t i = 0; i < arr.size(); ++i)
+        out.push(i == index ? value : arr.at(i));
+    return out;
+}
+
+/** Values no well-formed recording field holds all of: wrong kinds,
+ *  negative and huge numbers, non-integers, bad numeric strings, and
+ *  interned-name indices one past the end of the seed's tables. */
+std::vector<Json>
+hostileValues()
+{
+    const Recording &seed = fuzzSeed();
+    return {Json::null(),
+            Json::boolean(true),
+            Json::number(std::int64_t(-1)),
+            Json::number(0.5),
+            Json::number(1e300),
+            Json::number(9007199254740992.0),
+            Json::number(std::int64_t(2147483648LL)),
+            Json::number(std::int64_t(-2147483649LL)),
+            Json::number(std::uint64_t(seed.streams.size())),
+            Json::number(std::uint64_t(seed.names.size())),
+            Json::string(""),
+            Json::string("-1"),
+            Json::string("18446744073709551615"),
+            Json::string("18446744073709551616"),
+            Json::string("12abc"),
+            Json::string("4294967296"),
+            Json::array(),
+            Json::object()};
+}
+
+/** The members whose values are arrays of entries. */
+constexpr const char *kStreamMembers[] = {
+    "streams", "names", "rng", "pops", "trace", "marks", "checkpoints"};
+
+TEST(RecordingFuzz, SeededByteMutationsAreRejectedOrLoad)
+{
+    const std::string text = fuzzSeed().toJson().toString(0);
+    Rng rng(0x6b727266757aULL); // fixed seed ("krrfuz")
+    for (int round = 0; round < 3000; ++round) {
+        std::string mutated = text;
+        if (rng.below(8) == 0) {
+            mutated.resize(rng.below(mutated.size()));
+        } else {
+            const unsigned edits = 1 + unsigned(rng.below(4));
+            for (unsigned e = 0; e < edits && !mutated.empty(); ++e) {
+                const std::size_t at = rng.below(mutated.size());
+                switch (rng.below(4)) {
+                  case 0: // flip to a random byte
+                    mutated[at] = char(rng.below(256));
+                    break;
+                  case 1: // to a random digit or sign
+                    mutated[at] = "0123456789-+.e"[rng.below(14)];
+                    break;
+                  case 2: // delete
+                    mutated.erase(at, 1);
+                    break;
+                  default: // duplicate
+                    mutated.insert(at, 1, mutated[at]);
+                    break;
+                }
+            }
+        }
+        // A JSON-level rejection must say why; an accepted document
+        // goes to the recording parser.
+        Json doc;
+        std::string err;
+        if (Json::parse(mutated, doc, &err))
+            rejectedOrUsable(doc);
+        else
+            EXPECT_FALSE(err.empty());
+    }
+}
+
+TEST(RecordingFuzz, StructuralMutationsAreRejectedOrLoad)
+{
+    const Json doc = fuzzSeed().toJson();
+    ASSERT_TRUE(rejectedOrUsable(doc));
+    const std::vector<Json> hostile = hostileValues();
+    unsigned loaded = 0, rejected = 0;
+    const auto tally = [&](const Json &candidate) {
+        if (rejectedOrUsable(candidate))
+            ++loaded;
+        else
+            ++rejected;
+    };
+
+    // Every top-level member missing, or replaced by each value.
+    for (const auto &[key, member] : doc.members()) {
+        tally(withMember(doc, key, nullptr));
+        for (const Json &value : hostile)
+            tally(withMember(doc, key, &value));
+    }
+
+    // In every stream array: the first entry replaced whole, each of
+    // its fields replaced, the entry's arity shrunk and grown, and an
+    // entry appended.
+    for (const char *key : kStreamMembers) {
+        const Json &arr = doc.at(key);
+        ASSERT_GT(arr.size(), 0u) << key;
+        const Json &entry = arr.at(std::size_t(0));
+        std::vector<Json> variants = hostile;
+        if (entry.kind() == Json::Kind::Array) {
+            for (std::size_t f = 0; f < entry.size(); ++f)
+                for (const Json &value : hostile)
+                    variants.push_back(withElement(entry, f, value));
+            Json shorter = Json::array();
+            for (std::size_t f = 0; f + 1 < entry.size(); ++f)
+                shorter.push(entry.at(f));
+            Json longer = entry;
+            longer.push(Json::number(std::uint64_t(0)));
+            variants.push_back(shorter);
+            variants.push_back(longer);
+        } else if (entry.kind() == Json::Kind::Object) {
+            for (const auto &member : entry.members()) {
+                const std::string &field = member.first;
+                variants.push_back(withMember(entry, field, nullptr));
+                for (const Json &value : hostile)
+                    variants.push_back(withMember(entry, field, &value));
+            }
+        }
+        for (const Json &variant : variants) {
+            tally(withMember(doc, key, &variant));
+            Json appended = arr;
+            appended.push(variant);
+            tally(withMember(doc, key, &appended));
+            const Json replaced = withElement(arr, 0, variant);
+            tally(withMember(doc, key, &replaced));
+        }
+    }
+
+    // Emptied interned tables under entries that index them.
+    const Json empty = Json::array();
+    tally(withMember(doc, "streams", &empty));
+    tally(withMember(doc, "names", &empty));
+
+    // A duplicated stream array never reaches the recording parser:
+    // the JSON layer rejects the repeated key.
+    const std::string text = doc.toString(0);
+    for (const char *key : kStreamMembers) {
+        const std::string dup =
+            std::string("{\"") + key + "\":[]," + text.substr(1);
+        Json parsed;
+        std::string err;
+        EXPECT_FALSE(Json::parse(dup, parsed, &err)) << key;
+        EXPECT_NE(err.find("duplicate"), std::string::npos) << err;
+    }
+
+    // Seeded compound edits: up to three hostile values dropped into
+    // random fields of random entries.
+    Rng rng(0x6b72727374ULL); // fixed seed ("krrst")
+    for (int round = 0; round < 1000; ++round) {
+        Json mutated = doc;
+        const unsigned edits = 1 + unsigned(rng.below(3));
+        for (unsigned e = 0; e < edits; ++e) {
+            const char *key =
+                kStreamMembers[rng.below(std::size(kStreamMembers))];
+            const Json &arr = mutated.at(key);
+            if (arr.size() == 0)
+                continue;
+            const std::size_t at = rng.below(arr.size());
+            const Json &entry = arr.at(at);
+            const Json &value = hostile[rng.below(hostile.size())];
+            Json replaced;
+            if (entry.kind() == Json::Kind::Array && entry.size() > 0)
+                replaced = withElement(entry, rng.below(entry.size()),
+                                       value);
+            else if (entry.kind() == Json::Kind::Object &&
+                     entry.size() > 0)
+                replaced = withMember(
+                    entry,
+                    entry.members()[rng.below(entry.size())].first,
+                    &value);
+            else
+                replaced = value;
+            const Json edited = withElement(arr, at, replaced);
+            mutated = withMember(mutated, key, &edited);
+        }
+        tally(mutated);
+    }
+
+    // Sanity: the harness reaches both outcomes.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(loaded, 0u);
 }
 
 // ---------------------------------------------------------------

@@ -1247,6 +1247,26 @@ TEST(ServeIntegration, WarmStoreSharesOneDieAcrossDistinctJobs)
     EXPECT_EQ(warm.at("entries").asInt(), 1);
     EXPECT_GT(warm.at("bytes").asInt(), 0);
     lo.server.stop();
+
+    // A workload-subset campaign's entry is byte-identical to that
+    // workload's entry in the full campaign run directly: result
+    // slots are pre-sized, so no workload's numbers depend on which
+    // others share its campaign.
+    SubmitRequest full;
+    ASSERT_TRUE(parseSubmit(warmSubmit("xsbench,spmv", 42), full, err))
+        << err;
+    const Json direct =
+        sweepToJson(full.sopt, runEvaluationSweep(full.sopt));
+    const Json &entries = direct.at("workloads");
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries.at(0).at("workload").asString(), "xsbench");
+    EXPECT_EQ(entries.at(1).at("workload").asString(), "spmv");
+    EXPECT_EQ(
+        first.at("result").at("workloads").at(0).toString(0),
+        entries.at(0).toString(0));
+    EXPECT_EQ(
+        second.at("result").at("workloads").at(0).toString(0),
+        entries.at(1).toString(0));
 }
 
 TEST(ServeIntegration, WarmBackedSweepMatchesColdRecordingAndReplays)

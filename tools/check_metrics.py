@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Sanity-check kserved/kfleetd Prometheus scrapes (CI smoke jobs).
+"""Sanity-check kserved Prometheus scrapes (CI smoke job).
 
 Usage:
-    check_metrics.py [--fleet] BEFORE.prom AFTER.prom [KTOP.json]
+    check_metrics.py BEFORE.prom AFTER.prom [KTOP.json]
 
 Parses two /metrics scrapes taken around a kcli workload, and
 asserts:
@@ -14,12 +14,6 @@ asserts:
   * counters are monotonic from BEFORE to AFTER;
   * the workload left a visible trace (admissions and job latency
     count increased);
-  * with --fleet (scrapes taken from kfleetd): every kfleet_* family
-    is present, at least one worker is attached, and the dispatch
-    ledger balances at the drained AFTER scrape —
-    kfleet_shards_dispatched_total == kfleet_shards_completed_total
-    + kfleet_shards_cancelled_total (every dispatch that reached a
-    worker's "submitted" frame ends in exactly one terminal bucket);
   * optionally, a `ktop --once --json` snapshot taken at the same
     time as AFTER agrees with it on stable (quiescent-daemon)
     families.
@@ -61,16 +55,6 @@ REQUIRED_FAMILIES = [
     "kserved_reactor_wakeups_total",
     "kserved_uptime_seconds",
     "ktrace_dropped_records_total",
-]
-
-FLEET_FAMILIES = [
-    "kfleet_workers",
-    "kfleet_campaigns_total",
-    "kfleet_shards_dispatched_total",
-    "kfleet_shards_completed_total",
-    "kfleet_shards_cancelled_total",
-    "kfleet_worker_rejections_total",
-    "kfleet_shard_seconds",
 ]
 
 SAMPLE_RE = re.compile(
@@ -180,8 +164,6 @@ def family_total(families, samples, fam, suffix=""):
 
 def main():
     argv = sys.argv[1:]
-    fleet = "--fleet" in argv
-    argv = [a for a in argv if a != "--fleet"]
     if len(argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
@@ -189,14 +171,10 @@ def main():
     fam_b, s_b = parse(before_path)
     fam_a, s_a = parse(after_path)
 
-    required = REQUIRED_FAMILIES + (FLEET_FAMILIES if fleet else [])
-    for fam in required:
+    for fam in REQUIRED_FAMILIES:
         for path, fams in ((before_path, fam_b), (after_path, fam_a)):
             if fam not in fams:
                 fail(f"{path}: required family {fam} missing")
-
-    if fleet:
-        check_fleet(after_path, s_a)
 
     # Counter monotonicity, per labeled series.
     for (name, labels), v in s_b.items():
@@ -248,28 +226,6 @@ def main():
                 )
 
     print("check_metrics: OK")
-
-
-def check_fleet(path, samples):
-    """Fleet-specific assertions on a drained kfleetd scrape."""
-    workers = family_total({}, samples, "kfleet_workers")
-    if workers < 1:
-        fail(f"{path}: kfleet_workers is {workers}; no fleet attached")
-    dispatched = family_total(
-        {}, samples, "kfleet_shards_dispatched_total")
-    completed = family_total(
-        {}, samples, "kfleet_shards_completed_total")
-    cancelled = family_total(
-        {}, samples, "kfleet_shards_cancelled_total")
-    # The dispatch ledger: at a drained scrape nothing is in flight,
-    # so every dispatch that produced a "submitted" frame must have
-    # landed in exactly one terminal bucket.
-    if dispatched != completed + cancelled:
-        fail(
-            f"{path}: kfleet dispatch ledger unbalanced: "
-            f"dispatched {dispatched} != completed {completed} + "
-            f"cancelled {cancelled}"
-        )
 
 
 def labeled(samples, fam, outcome):
