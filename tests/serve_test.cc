@@ -1247,11 +1247,28 @@ TEST(ServeIntegration, WarmStoreSharesOneDieAcrossDistinctJobs)
     EXPECT_EQ(warm.at("entries").asInt(), 1);
     EXPECT_GT(warm.at("bytes").asInt(), 0);
     lo.server.stop();
+}
 
+TEST(ServeIntegration, SubsetCampaignsAreBitIdenticalToDirectFullSweep)
+{
     // A workload-subset campaign's entry is byte-identical to that
     // workload's entry in the full campaign run directly: result
     // slots are pre-sized, so no workload's numbers depend on which
     // others share its campaign.
+    Loopback lo;
+    ScopedLogCapture quiet;
+    Json first, second;
+    std::string err;
+    ASSERT_TRUE(
+        lo.client.submit(warmSubmit("xsbench", 42), first, {}, &err))
+        << err;
+    ASSERT_EQ(first.at("outcome").asString(), "done");
+    ASSERT_TRUE(
+        lo.client.submit(warmSubmit("spmv", 42), second, {}, &err))
+        << err;
+    ASSERT_EQ(second.at("outcome").asString(), "done");
+    lo.server.stop();
+
     SubmitRequest full;
     ASSERT_TRUE(parseSubmit(warmSubmit("xsbench,spmv", 42), full, err))
         << err;
