@@ -35,7 +35,6 @@ PrecharacterizedScheme::attach(L2Backdoor &backdoor,
 {
     ProtectionScheme::attach(backdoor, geom);
     enabled.assign(geom.numLines(), true);
-    checkStore.assign(geom.numLines(), BitVec(0));
     reset();
 }
 
@@ -55,7 +54,6 @@ PrecharacterizedScheme::reset()
                    "prechar.line_disable", {"line", i},
                    {"faults", std::uint64_t(n)});
         }
-        checkStore[i] = BitVec(0);
     }
 }
 
@@ -65,25 +63,28 @@ PrecharacterizedScheme::canAllocate(std::size_t lineId) const
     return enabled[lineId];
 }
 
+bool
+PrecharacterizedScheme::readsPayload(std::size_t lineId) const
+{
+    return !p.behavioral && faults.canShowError(lineId);
+}
+
 Cycle
-PrecharacterizedScheme::onFill(std::size_t lineId, const BitVec &data)
+PrecharacterizedScheme::onFill(std::size_t lineId, const BitVec &)
 {
     if (!enabled[lineId])
         panic("%s: fill into a disabled line", p.displayName.c_str());
-    // Checkbits are always materialized: even a line with no active
-    // persistent fault can take a transient upset later, and the
-    // probe then needs checkbits of the right width.
-    if (!p.behavioral)
-        checkStore[lineId] = code->encode(data);
     return 0;
 }
 
 void
-PrecharacterizedScheme::onWriteHit(std::size_t lineId,
-                                   const BitVec &data)
+PrecharacterizedScheme::visibleErrorsOf(std::size_t lineId,
+                                        const BitVec &data)
 {
-    if (!p.behavioral)
-        checkStore[lineId] = code->encode(data);
+    // The in-array checkbit cells hold the encoding of the data last
+    // written, which is @p data: derive them instead of storing them.
+    code->encodeInto(data, checkScratch);
+    faults.visibleErrorsInto(lineId, data, checkScratch, errsScratch);
 }
 
 AccessResult
@@ -94,10 +95,8 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
     AccessResult res;
     // The parity/syndrome check overlaps the 2-cycle data access;
     // latency is only exposed when error processing actually runs.
-    if (faults.lineFaults(lineId).empty() &&
-        faults.transients(lineId).empty()) {
+    if (!faults.canShowError(lineId))
         return res; // fault-free fast path
-    }
 
     res.extraLatency = p.codecLatency;
     if (p.behavioral) {
@@ -108,16 +107,15 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         return res;
     }
 
-    const std::vector<std::size_t> errs =
-        faults.visibleErrors(lineId, data, checkStore[lineId]);
-    if (errs.empty()) {
+    visibleErrorsOf(lineId, data);
+    if (errsScratch.empty()) {
         // Faults present but masked by the stored data: the checker
         // sees a clean word.
         res.extraLatency = 0;
         return res;
     }
 
-    const DecodeResult dr = code->probe(errs);
+    const DecodeResult dr = code->probe(errsScratch);
     switch (dr.status) {
       case DecodeStatus::NoError:
         // Visible flips that still form a valid codeword: the error
@@ -154,17 +152,14 @@ PrecharacterizedScheme::onWriteback(std::size_t lineId,
                                     const BitVec &data)
 {
     WritebackOutcome out;
-    if (faults.lineFaults(lineId).empty() &&
-        faults.transients(lineId).empty()) {
+    if (!faults.canShowError(lineId))
         return out;
-    }
     if (p.behavioral)
         return out; // within the OLSC capability by construction
-    const std::vector<std::size_t> errs =
-        faults.visibleErrors(lineId, data, checkStore[lineId]);
-    if (errs.empty())
+    visibleErrorsOf(lineId, data);
+    if (errsScratch.empty())
         return out;
-    const DecodeResult dr = code->probe(errs);
+    const DecodeResult dr = code->probe(errsScratch);
     // NoError with visible flips is an undetected corruption — the
     // written-back word only counts as clean after a real correction.
     out.clean = dr.status == DecodeStatus::Corrected;

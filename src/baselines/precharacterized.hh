@@ -61,8 +61,8 @@ class PrecharacterizedScheme : public ProtectionScheme
     void reset() override;
 
     bool canAllocate(std::size_t lineId) const override;
+    bool readsPayload(std::size_t lineId) const override;
     Cycle onFill(std::size_t lineId, const BitVec &data) override;
-    void onWriteHit(std::size_t lineId, const BitVec &data) override;
     AccessResult onReadHit(std::size_t lineId,
                            const BitVec &data) override;
     WritebackOutcome onWriteback(std::size_t lineId,
@@ -77,13 +77,18 @@ class PrecharacterizedScheme : public ProtectionScheme
     /** Physical LV bits per line (payload + in-array checkbits). */
     std::size_t physBits() const;
 
+    /** Visible errors of @p lineId holding @p data and its checkbits,
+     *  into errsScratch (codec schemes only). */
+    void visibleErrorsOf(std::size_t lineId, const BitVec &data);
+
     FaultMap &faults;
     PrecharParams p;
     std::unique_ptr<BlockCode> code; //!< null when behavioural
 
     std::vector<bool> enabled;
-    /** Stored checkbits, materialized only for faulty lines. */
-    std::vector<BitVec> checkStore;
+    /** Probe scratch (a scheme instance is single-threaded). */
+    BitVec checkScratch;
+    std::vector<std::size_t> errsScratch;
 
     /** Interned stat handles (StatGroup's nodes are address-stable). */
     Counter *cReads = nullptr;

@@ -13,7 +13,7 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
       geometry(geom_), index(geom_, "L2Cache"), p(params),
       trace(params.trace), faultMap(fault_map),
       upsetRng(params.softErrorSeed), lines(geom_.numLines()),
-      lineData(geom_.numLines()), bankFree(geom_.banks, 0),
+      bankFree(geom_.banks, 0),
       mshrAddr(std::size_t{geom_.banks} * params.mshrsPerBank,
                kFreeMshr),
       mshrWaiters(mshrAddr.size())
@@ -55,8 +55,18 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
         "dirty lines lost to uncorrectable read errors");
 }
 
+const BitVec &
+L2Cache::payload(std::size_t lineId, const Line &line, BitVec &buf)
+{
+    if (protection.readsPayload(lineId)) {
+        golden.dataInto(index.lineAddr(line.tag, lineId / geometry.assoc),
+                        line.version, buf);
+    }
+    return buf;
+}
+
 void
-L2Cache::writebackIfDirty(std::size_t lineId, Line &line)
+L2Cache::writebackIfDirty(std::size_t lineId, Line &line, BitVec &buf)
 {
     if (!line.dirty)
         return;
@@ -64,7 +74,7 @@ L2Cache::writebackIfDirty(std::size_t lineId, Line &line)
     const Addr lineAddr =
         index.lineAddr(line.tag, lineId / geometry.assoc);
     const WritebackOutcome wb =
-        protection.onWriteback(lineId, lineData[lineId]);
+        protection.onWriteback(lineId, payload(lineId, line, buf));
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.writeback",
            {"line", lineId}, {"clean", wb.clean});
     if (!wb.clean)
@@ -83,7 +93,7 @@ L2Cache::sampleUpsets(std::size_t lineId, Line &line)
     const Tick now = eq.curTick();
     if (now <= line.upsetCheckedAt)
         return;
-    const std::size_t bits = lineData[lineId].size();
+    const std::size_t bits = golden.lineBits();
     const double window =
         double(now - line.upsetCheckedAt) * double(bits);
     line.upsetCheckedAt = now;
@@ -181,7 +191,7 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb &&cb)
     }
 
     const AccessResult res =
-        protection.onReadHit(lineId, lineData[lineId]);
+        protection.onReadHit(lineId, payload(lineId, *line, payloadBuf));
     if (res.errorInducedMiss) {
         ++*cErrorMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.error_miss",
@@ -312,11 +322,11 @@ L2Cache::allocate(Addr lineAddr)
             ++*cEvictions;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.evict",
                    {"line", victimId});
-            const Cycle cost =
-                protection.onEvict(victimId, lineData[victimId]);
+            const Cycle cost = protection.onEvict(
+                victimId, payload(victimId, victim, payloadBuf));
             if (cost)
                 chargeBank(lineAddr, cost);
-            writebackIfDirty(victimId, victim);
+            writebackIfDirty(victimId, victim, payloadBuf);
             protection.onInvalidate(victimId);
             victim.valid = false;
             if (!protection.canAllocate(victimId))
@@ -327,13 +337,12 @@ L2Cache::allocate(Addr lineAddr)
         victim.dirty = false;
         victim.tag = index.tagOf(lineAddr);
         victim.version = golden.version(lineAddr);
-        golden.dataInto(lineAddr, victim.version, lineData[victimId]);
         victim.lastUse = ++useCounter;
         victim.upsetCheckedAt = eq.curTick();
         if (faultMap)
             faultMap->clearTransients(victimId); // cells rewritten
-        const Cycle fillCost =
-            protection.onFill(victimId, lineData[victimId]);
+        const Cycle fillCost = protection.onFill(
+            victimId, payload(victimId, victim, payloadBuf));
         if (fillCost)
             chargeBank(lineAddr, fillCost);
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.fill",
@@ -368,7 +377,8 @@ L2Cache::write(Addr addr)
             }
             Line &fresh = lines[allocated];
             fresh.dirty = true;
-            protection.onWriteHit(allocated, lineData[allocated]);
+            protection.onWriteHit(allocated,
+                                  payload(allocated, fresh, payloadBuf));
             return;
         }
         if (line) {
@@ -376,14 +386,14 @@ L2Cache::write(Addr addr)
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
                    {"line", lineId});
             line->version = golden.version(lineAddr);
-            golden.dataInto(lineAddr, line->version, lineData[lineId]);
             line->lastUse = ++useCounter;
             line->upsetCheckedAt = eq.curTick();
             if (faultMap)
                 faultMap->clearTransients(lineId); // cells rewritten
             if (p.writePolicy == WritePolicy::WriteBack)
                 line->dirty = true;
-            protection.onWriteHit(lineId, lineData[lineId]);
+            protection.onWriteHit(lineId,
+                                  payload(lineId, *line, payloadBuf));
         } else {
             ++*cWriteMisses;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_miss",
@@ -405,10 +415,11 @@ L2Cache::invalidateLine(std::size_t lineId)
     // its DFH bits on the read-out, §4.4).
     const Addr lineAddr =
         index.lineAddr(line.tag, lineId / geometry.assoc);
-    const Cycle cost = protection.onEvict(lineId, lineData[lineId]);
+    const Cycle cost =
+        protection.onEvict(lineId, payload(lineId, line, backdoorBuf));
     if (cost)
         chargeBank(lineAddr, cost);
-    writebackIfDirty(lineId, line);
+    writebackIfDirty(lineId, line, backdoorBuf);
     line.valid = false;
     ++*cProtInvalidations;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.prot_invalidate",

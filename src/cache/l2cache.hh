@@ -111,7 +111,10 @@ class L2Cache : public L2Backdoor
     const StatGroup &stats() const { return statGroup; }
 
   private:
-    /** Tag-array state; the payload lives in lineData. */
+    /**
+     * Tag-array state. No payload is stored: a resident line always
+     * holds golden data at its version, rebuilt on demand (payload()).
+     */
     struct Line
     {
         Addr tag = 0;
@@ -123,8 +126,17 @@ class L2Cache : public L2Backdoor
         Tick upsetCheckedAt = 0;
     };
 
-    /** Flush a dirty line to memory before it is dropped. */
-    void writebackIfDirty(std::size_t lineId, Line &line);
+    /**
+     * The payload to hand a protection hook on @p lineId: golden data
+     * at the line's version, built into @p buf only when the scheme
+     * reads it (ProtectionScheme::readsPayload); @p buf otherwise.
+     */
+    const BitVec &payload(std::size_t lineId, const Line &line,
+                          BitVec &buf);
+
+    /** Flush a dirty line to memory before it is dropped (@p buf:
+     *  payload scratch, see payload()). */
+    void writebackIfDirty(std::size_t lineId, Line &line, BitVec &buf);
 
     /** Accumulate soft-error upsets over the line's residency. */
     void sampleUpsets(std::size_t lineId, Line &line);
@@ -180,9 +192,11 @@ class L2Cache : public L2Backdoor
     Tick lastMaintenance = 0;
 
     std::vector<Line> lines;
-    /** Line payloads, parallel to lines; sized on first fill and
-     *  rewritten in place afterwards. */
-    std::vector<BitVec> lineData;
+    /** Payload scratch for the access paths. */
+    BitVec payloadBuf;
+    /** Payload scratch for invalidateLine(), which a scheme may call
+     *  from inside a hook that still holds payloadBuf. */
+    BitVec backdoorBuf;
     std::vector<Tick> bankFree;
     /**
      * Outstanding misses: mshrsPerBank entries per bank, bank-major.

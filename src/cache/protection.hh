@@ -9,6 +9,17 @@
  * becomes an error-induced miss, which lines are allocatable, and
  * reports (omnisciently, via the codec probe paths) whether a silent
  * data corruption escaped — the simulator's end-to-end oracle.
+ *
+ * Payload contract. Every hook takes the line's payload as
+ * `const BitVec &data`, but the host builds it only for lines that
+ * can show an error:
+ *  - a hook reads @p data only when readsPayload(lineId) is true at
+ *    the moment the hook is called; otherwise @p data is unspecified
+ *    (the host may pass a buffer holding another line's bits);
+ *  - a probe hook (onReadHit, onEvict, onWriteback) receives the
+ *    data of the line's last onFill/onWriteHit, so anything a scheme
+ *    would store at fill (parity, checkbits) it may re-derive from
+ *    @p data when it probes instead.
  */
 
 #ifndef KILLI_CACHE_PROTECTION_HH
@@ -98,6 +109,17 @@ class ProtectionScheme
     {
         (void)lineId;
         return 0;
+    }
+
+    /**
+     * Does the next hook on @p lineId read its payload? The host
+     * builds the payload only when this is true (see the file
+     * comment); the default is conservative.
+     */
+    virtual bool readsPayload(std::size_t lineId) const
+    {
+        (void)lineId;
+        return true;
     }
 
     /** Data was installed in @p lineId. Returns extra bank
@@ -194,6 +216,12 @@ class FaultFreeProtection : public ProtectionScheme
 {
   public:
     std::string name() const override { return "FaultFree"; }
+
+    bool readsPayload(std::size_t lineId) const override
+    {
+        (void)lineId;
+        return false;
+    }
 
     AccessResult
     onReadHit(std::size_t lineId, const BitVec &data) override

@@ -16,7 +16,8 @@ constexpr std::size_t kNpos = ~std::size_t{0};
 } // namespace
 
 Bch::Bch(std::size_t data_bits, unsigned t, bool extended)
-    : k(data_bits), tCap(t), hasExtended(extended)
+    : k(data_bits), tCap(t), hasExtended(extended),
+      fastProbe(!hotpathReferenceMode())
 {
     if (k == 0 || t == 0)
         fatal("Bch: invalid parameters k=%zu t=%u", k, t);
@@ -373,9 +374,46 @@ Bch::decode(BitVec &data, BitVec &check) const
     return result;
 }
 
+bool
+Bch::probeWithinCapability(const std::vector<std::size_t> &errorPositions,
+                           DecodeResult &result) const
+{
+    if (errorPositions.size() > tCap)
+        return false;
+    bool inCode = false; // any error outside the extended bit
+    for (std::size_t i = 0; i < errorPositions.size(); ++i) {
+        const std::size_t pos = errorPositions[i];
+        if (pos > k + r || (pos == k + r && !hasExtended))
+            return false; // out of range: the full path fatal()s
+        inCode |= pos != k + r;
+        for (std::size_t j = 0; j < i; ++j) {
+            if (errorPositions[j] == pos)
+                return false; // a repeat cancels itself
+        }
+    }
+    // At most t distinct errors lie within the designed distance, so
+    // Berlekamp-Massey and the Chien search would locate exactly them:
+    // the syndrome is non-zero iff a code position is hit, the overall
+    // parity tracks the error count, and the correction is exact.
+    result = DecodeResult{};
+    result.syndromeNonZero = inCode;
+    result.globalParityMismatch =
+        hasExtended && (errorPositions.size() & 1) != 0;
+    if (!errorPositions.empty()) {
+        result.status = DecodeStatus::Corrected;
+        result.correctedBits =
+            static_cast<unsigned>(errorPositions.size());
+    }
+    return true;
+}
+
 DecodeResult
 Bch::probe(const std::vector<std::size_t> &errorPositions) const
 {
+    DecodeResult fast;
+    if (fastProbe && probeWithinCapability(errorPositions, fast))
+        return fast;
+
     std::vector<std::uint32_t> syn(2 * tCap, 0);
     bool overall = false;
     for (const std::size_t pos : errorPositions) {

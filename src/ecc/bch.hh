@@ -11,10 +11,11 @@
  *
  * Encoding is systematic LFSR polynomial division; decoding computes
  * syndromes, runs Berlekamp-Massey to find the error locator, and a
- * Chien search to locate roots. Codeword polynomial layout: powers
- * [0, r) hold checkbits, powers [r, r+k) hold data; combined bit
- * index i < k maps to power r + i, index k + j maps to power j, and
- * (when extended) index k + r is the overall parity bit.
+ * Chien search to locate roots (probe() skips both for at most t
+ * distinct errors, whose outcome is known). Codeword polynomial
+ * layout: powers [0, r) hold checkbits, powers [r, r+k) hold data;
+ * combined bit index i < k maps to power r + i, index k + j maps to
+ * power j, and (when extended) index k + r is the overall parity bit.
  */
 
 #ifndef KILLI_ECC_BCH_HH
@@ -78,6 +79,15 @@ class Bch : public BlockCode
         std::vector<std::size_t> flips;
     };
 
+    /**
+     * probe()'s fast path: when @p errorPositions holds at most t
+     * distinct in-range positions, write the outcome the full solver
+     * would reach into @p result and return true; false otherwise.
+     */
+    bool probeWithinCapability(
+        const std::vector<std::size_t> &errorPositions,
+        DecodeResult &result) const;
+
     /** Polynomial power of combined bit index (data or BCH check). */
     std::size_t powerOf(std::size_t combined) const;
 
@@ -103,6 +113,10 @@ class Bch : public BlockCode
     BitSlicer slicer;
     /** Route encode() through the sliced path. */
     bool useSliced = false;
+    /** Let probe() skip the solver within capability (off under
+     *  hotpathReferenceMode(), which keeps the full solver for
+     *  differential tests). */
+    bool fastProbe = true;
 };
 
 } // namespace killi

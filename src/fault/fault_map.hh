@@ -190,6 +190,14 @@ class FaultMap
         return transientFlips.empty() ? none : transientFlips[line];
     }
 
+    /** Can a read of @p line differ from what was written? True iff
+     *  the line has an active persistent fault or a live transient;
+     *  when false, every visibleErrors() of the line is empty. */
+    bool canShowError(std::size_t line) const
+    {
+        return !lineFaults(line).empty() || !transients(line).empty();
+    }
+
     /** Histogram of active fault counts per line (0, 1, 2+) over the
      *  first @p prefix_bits positions: the Fig. 2 quantities. */
     struct LineHistogram

@@ -7,12 +7,15 @@
  * address"), while its tags hold the L2 (index, way) pair — cheaper
  * than a full physical tag.
  *
- * Each entry stores the SECDED checkbits (11b) plus the 12 fine
- * parity bits that overflow the L2 line during training, 41 bits per
- * entry with the tag (paper Table 3). Because the structure is much
- * smaller than the L2, disjoint L2 sets contend for the same ECC
- * set; evicting a live entry forces the host to drop the L2 line it
- * protects — the contention effect behind the Fig. 4/5 sensitivity.
+ * In hardware each entry stores the SECDED checkbits (11b) plus the
+ * 12 fine parity bits that overflow the L2 line during training, 41
+ * bits per entry with the tag (paper Table 3). The model keeps the
+ * entry's presence and replacement state only: Killi's probes are
+ * functions of the line's error positions, so no checkbit value is
+ * ever read back. Because the structure is much smaller than the
+ * L2, disjoint L2 sets contend for the same ECC set; evicting a live
+ * entry forces the host to drop the L2 line it protects — the
+ * contention effect behind the Fig. 4/5 sensitivity.
  */
 
 #ifndef KILLI_KILLI_ECC_CACHE_HH
@@ -36,8 +39,10 @@ struct EccEntry
     bool valid = false;
     std::size_t l2Line = 0;  //!< protected L2 line id (index, way)
     std::uint64_t lastUse = 0;
-    BitVec check{0};         //!< ECC checkbits for the stored data
-    BitVec fineParity{0};    //!< fine parity bits 4..15 (training)
+    /** Fine parity bits 4..15 while training, empty otherwise. Only
+     *  the width is modelled (probes derive every check outcome from
+     *  the line's error positions), so the bits stay zero. */
+    BitVec fineParity{0};
 };
 
 class EccCache

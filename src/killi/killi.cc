@@ -140,7 +140,6 @@ KilliProtection::attach(L2Backdoor &backdoor, const CacheGeometry &geom)
     ecc = std::make_unique<EccCache>(entries, p.eccCacheAssoc,
                                      geom.assoc);
     state.assign(geom.numLines(), Dfh::Initial);
-    folded.assign(geom.numLines(), BitVec(p.groups));
     dirtyLine.assign(geom.numLines(), false);
     trainAccesses.assign(geom.numLines(), 0);
     ecc->setTrace(trace, [this] { return tickNow(); });
@@ -151,7 +150,6 @@ KilliProtection::reset()
 {
     // Voltage change / reboot: relearn everything (paper §2.4).
     std::fill(state.begin(), state.end(), Dfh::Initial);
-    std::fill(folded.begin(), folded.end(), BitVec(p.groups));
     std::fill(dirtyLine.begin(), dirtyLine.end(), false);
     std::fill(trainAccesses.begin(), trainAccesses.end(), 0);
     ecc->clear();
@@ -259,26 +257,29 @@ KilliProtection::codeFor(Dfh lineState, bool isDirty) const
     return *secded;
 }
 
+bool
+KilliProtection::readsPayload(std::size_t lineId) const
+{
+    // probeLine() is the only reader, and it returns before touching
+    // the data of a line that cannot show an error.
+    return faults.canShowError(lineId);
+}
+
 void
-KilliProtection::installMetadata(std::size_t lineId, const BitVec &data,
-                                 Dfh forState)
+KilliProtection::installMetadata(std::size_t lineId, Dfh forState)
 {
     EccEntry *entry = ecc->find(lineId);
     std::size_t evictedLine = EccCache::npos;
     if (!entry)
         entry = ecc->allocate(lineId, evictedLine);
-    const BlockCode &code = codeFor(forState, dirtyLine[lineId]);
-    code.encodeInto(data, entry->check);
+    // Fine parities 4..15 overflow into the ECC cache while training;
+    // the 4 folded group parities live in the line itself. Only the
+    // overflow's width is modelled: every probe is a function of the
+    // line's error positions (probeLine), so neither the checkbits nor
+    // the parity values are ever read back.
     if (forState == Dfh::Initial) {
-        // Fine parities 4..15 overflow into the ECC cache; the 4
-        // folded group parities live in the line itself. Both the
-        // encode and the overflow vector reuse existing storage.
-        fineParity.encodeInto(data, fineScratch);
-        BitVec &overflow = entry->fineParity;
-        if (overflow.size() != p.segments - p.groups)
-            overflow = BitVec(p.segments - p.groups);
-        for (std::size_t s = p.groups; s < p.segments; ++s)
-            overflow.set(s - p.groups, fineScratch.get(s));
+        if (entry->fineParity.size() != p.segments - p.groups)
+            entry->fineParity = BitVec(p.segments - p.groups);
     } else {
         entry->fineParity = BitVec(0);
     }
@@ -294,7 +295,7 @@ KilliProtection::installMetadata(std::size_t lineId, const BitVec &data,
 }
 
 Cycle
-KilliProtection::onFill(std::size_t lineId, const BitVec &data)
+KilliProtection::onFill(std::size_t lineId, const BitVec &)
 {
     KILLI_CHECK_INV(lineId, "onFill");
     const Dfh d = state[lineId];
@@ -307,9 +308,8 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &data)
 #endif
 
     dirtyLine[lineId] = false; // fills install clean data
-    foldedParity.encodeInto(data, folded[lineId]);
     if (d == Dfh::Initial || d == Dfh::Stable1)
-        installMetadata(lineId, data, d);
+        installMetadata(lineId, d);
 
     Cycle cost = 0;
     if (d == Dfh::Initial && p.invertedWriteCheck) {
@@ -334,7 +334,7 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &data)
         if (next == Dfh::Stable0 || next == Dfh::Disabled)
             ecc->invalidate(lineId);
         else if (p.dectedStable)
-            installMetadata(lineId, data, Dfh::Stable1);
+            installMetadata(lineId, Dfh::Stable1);
         if (next == Dfh::Disabled)
             host->invalidateLine(lineId);
     }
@@ -342,20 +342,19 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &data)
 }
 
 void
-KilliProtection::onWriteHit(std::size_t lineId, const BitVec &data)
+KilliProtection::onWriteHit(std::size_t lineId, const BitVec &)
 {
     KILLI_CHECK_INV(lineId, "onWriteHit");
-    foldedParity.encodeInto(data, folded[lineId]);
     const Dfh d = state[lineId];
     if (p.writebackMode) {
         // §5.6.1: from this store until eviction the line holds the
         // only copy; every DFH state gets checkbits on demand.
         dirtyLine[lineId] = true;
-        installMetadata(lineId, data, d);
+        installMetadata(lineId, d);
         return;
     }
     if (d == Dfh::Initial || d == Dfh::Stable1)
-        installMetadata(lineId, data, d);
+        installMetadata(lineId, d);
 }
 
 KilliProtection::Probes
@@ -363,10 +362,14 @@ KilliProtection::probeLine(std::size_t lineId, const BitVec &data,
                            Dfh current, bool isDirty) const
 {
     Probes probes;
-    faults.visibleErrorsInto(lineId, data, folded[lineId],
-                             errsScratch);
-    if (errsScratch.empty())
+    if (!faults.canShowError(lineId))
         return probes; // the common fault-free fast path
+    // The stored folded parity cells (the 4 LV bits at 512..515) hold
+    // the parity of the data last written, which is @p data.
+    foldedParity.encodeInto(data, foldedScratch);
+    faults.visibleErrorsInto(lineId, data, foldedScratch, errsScratch);
+    if (errsScratch.empty())
+        return probes; // every fault masked by the stored data
 
     // Split into payload errors and folded-parity-cell errors; the
     // latter map onto a fine parity bit of the group they encode

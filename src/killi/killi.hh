@@ -85,6 +85,7 @@ class KilliProtection : public ProtectionScheme
 
     bool canAllocate(std::size_t lineId) const override;
     int allocPriority(std::size_t lineId) const override;
+    bool readsPayload(std::size_t lineId) const override;
     Cycle onFill(std::size_t lineId, const BitVec &data) override;
     void onWriteHit(std::size_t lineId, const BitVec &data) override;
     AccessResult onReadHit(std::size_t lineId,
@@ -121,8 +122,9 @@ class KilliProtection : public ProtectionScheme
         bool dataCorrupt = false; //!< any visible payload-bit error
     };
 
-    /** Run parity + ECC probes for @p lineId holding @p data.
-     *  @p dirtyLine extends the ECC view to dirty b'00 lines. */
+    /** Run parity + ECC probes for @p lineId holding @p data (read
+     *  only when the line can show an error). @p dirtyLine extends the
+     *  ECC view to dirty b'00 lines. */
     Probes probeLine(std::size_t lineId, const BitVec &data,
                      Dfh current, bool dirtyLine = false) const;
 
@@ -147,9 +149,10 @@ class KilliProtection : public ProtectionScheme
      *  release sweeps. */
     void checkInvariants(std::size_t lineId, const char *where) const;
 
-    /** Install metadata for a line entering/keeping b'01 or b'10. */
-    void installMetadata(std::size_t lineId, const BitVec &data,
-                         Dfh forState);
+    /** Install metadata for a line entering/keeping b'01 or b'10 (or
+     *  dirty in write-back mode): the ECC-cache entry, which may drop
+     *  another L2 line (§4.3). */
+    void installMetadata(std::size_t lineId, Dfh forState);
 
     FaultMap &faults;
     KilliParams p;
@@ -181,23 +184,21 @@ class KilliProtection : public ProtectionScheme
     std::array<std::array<Counter *, 4>, 4> transitionCounter{};
 
     /**
-     * Hot-path scratch, reused across accesses so probeLine and
-     * installMetadata stay allocation-free in steady state. A scheme
-     * instance is single-threaded (one per sweep job), so plain
-     * mutable members are safe; probeLine never re-enters itself.
+     * Hot-path scratch, reused across accesses so probeLine stays
+     * allocation-free in steady state. A scheme instance is
+     * single-threaded (one per sweep job), so plain mutable members
+     * are safe; probeLine never re-enters itself.
      */
     mutable std::vector<std::size_t> errsScratch;
     mutable std::vector<std::size_t> parityScratch;
     mutable std::vector<std::size_t> eccScratch;
     mutable ParityCheck parityCheckScratch;
-    mutable BitVec fineScratch;
+    mutable BitVec foldedScratch;
     /** dfhHistogram() memoized across one timeseries snapshot. */
     std::array<std::size_t, 4> tsHist{};
 
     std::unique_ptr<EccCache> ecc;
     std::vector<Dfh> state;
-    /** Stored folded parity cells (the 4 LV bits at 512..515). */
-    std::vector<BitVec> folded;
     /** Mirror of the host's dirty bits (write-back mode). */
     std::vector<bool> dirtyLine;
     /** Read hits observed while the line sits in b'01 — sampled into

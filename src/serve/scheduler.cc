@@ -177,18 +177,27 @@ JobScheduler::runNext()
         result.clear();
     }
 
-    // Notify BEFORE the job is accounted finished: once idle()
-    // reports true, every terminal notification has already been
-    // delivered (the server's drain loop relies on this to flush
-    // the last result frame before exiting).
+    // Record the terminal state BEFORE notifying: a client that sends
+    // status or cancel right after reading its result must see the
+    // job finished, not running.
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        finishLocked(lock, entry, final, result, error);
+        --runningCount;
+        ++notifying;
+    }
+
+    // Account the job idle only AFTER notifying: once idle() reports
+    // true, every terminal notification has already been delivered
+    // (the server's drain loop relies on this to flush the last
+    // result frame before exiting).
     if (entry->onFinish)
         entry->onFinish(entry->id, final, result, error);
 
     {
         std::unique_lock<std::mutex> lock(mtx);
-        finishLocked(lock, entry, final, result, error);
-        --runningCount;
-        if (ready.empty() && runningCount == 0)
+        --notifying;
+        if (idleLocked())
             idleCv.notify_all();
     }
 }
@@ -229,7 +238,7 @@ JobScheduler::cancel(std::uint64_t id)
         ready.erase(entry->queueKey);
         finishLocked(lock, entry, JobState::Cancelled, "",
                      "cancelled");
-        if (ready.empty() && runningCount == 0)
+        if (idleLocked())
             idleCv.notify_all();
         toNotify = entry;
     }
@@ -274,7 +283,7 @@ JobScheduler::beginDrain()
             dropped.push_back(entry);
         }
         ready.clear();
-        if (runningCount == 0)
+        if (idleLocked())
             idleCv.notify_all();
     }
     for (const auto &entry : dropped) {
@@ -296,7 +305,7 @@ bool
 JobScheduler::idle() const
 {
     std::unique_lock<std::mutex> lock(mtx);
-    return ready.empty() && runningCount == 0;
+    return idleLocked();
 }
 
 void
@@ -304,8 +313,7 @@ JobScheduler::drain()
 {
     beginDrain();
     std::unique_lock<std::mutex> lock(mtx);
-    idleCv.wait(lock,
-                [this] { return ready.empty() && runningCount == 0; });
+    idleCv.wait(lock, [this] { return idleLocked(); });
 }
 
 SchedulerStats

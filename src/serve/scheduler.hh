@@ -65,10 +65,11 @@ using JobWork = std::function<std::string(const CancelToken &cancel)>;
  * a worker thread on completion, or from the cancel()/beginDrain()
  * caller for jobs that never ran. @p resultText is non-empty only
  * for Done; @p error carries the exception text (Failed) or the
- * cancellation reason ("cancelled" / "draining"). Fired *before* the
- * job is accounted finished, so once idle() reports true every
- * notification has been delivered (state() may briefly still say
- * Running while the callback runs).
+ * cancellation reason ("cancelled" / "draining"). Fired *after* the
+ * job's terminal state is recorded (state() and stats() already show
+ * it finished while the callback runs) and *before* the scheduler
+ * counts it idle, so once idle() reports true every notification
+ * has been delivered.
  */
 using JobFinish = std::function<void(
     std::uint64_t id, JobState state, const std::string &resultText,
@@ -142,7 +143,7 @@ class JobScheduler
     /** True once beginDrain() ran. */
     bool draining() const;
 
-    /** No job queued or running. */
+    /** No job queued, running or delivering its notification. */
     bool idle() const;
 
     /** beginDrain(), then block until in-flight jobs finish. */
@@ -173,6 +174,14 @@ class JobScheduler
                       JobState state, const std::string &resultText,
                       const std::string &error);
 
+    /** No job queued, running or still delivering its terminal
+     *  notification (call with mtx held). */
+    bool
+    idleLocked() const
+    {
+        return ready.empty() && runningCount == 0 && notifying == 0;
+    }
+
     mutable std::mutex mtx;
     std::condition_variable idleCv;
     std::map<std::pair<int, std::uint64_t>, std::shared_ptr<Entry>>
@@ -185,7 +194,10 @@ class JobScheduler
 
     std::size_t maxQueue;
     std::uint64_t nextSeq = 0;
+    /** Jobs executing their body (stats' "running"). */
     std::size_t runningCount = 0;
+    /** Finished jobs whose onFinish has not returned yet. */
+    std::size_t notifying = 0;
     std::size_t peakQueued = 0;
     std::uint64_t submittedCount = 0;
     std::uint64_t rejectedCount = 0;

@@ -12,6 +12,7 @@
 
 #include "baselines/precharacterized.hh"
 #include "cache/geometry.hh"
+#include "common/rng.hh"
 #include "fault/voltage_model.hh"
 #include "iid_die.hh"
 
@@ -211,4 +212,57 @@ TEST(BaselineTest, SchemeNames)
     EXPECT_EQ(makeSecdedLine(*f.faults)->name(), "SECDED");
     EXPECT_EQ(makeDectedLine(*f.faults)->name(), "DECTED");
     EXPECT_EQ(makeMsEcc(*f.faults)->name(), "MS-ECC");
+}
+
+// --- Payload contract ---------------------------------------------------
+
+TEST(BaselineTest, TransientAfterFaultFreeFillIsCorrectedOrDetected)
+{
+    // No checkbits are stored: the probe re-encodes them from the
+    // data it is handed, so an upset landing after a payload-free
+    // fill is still corrected (one flip) or detected (two).
+    BaselineFixture f;
+    f.use(makeSecdedLine(*f.faults));
+    BitVec data(512);
+    Rng rng(22);
+    data.randomize(rng);
+
+    EXPECT_FALSE(f.scheme->readsPayload(5));
+    f.scheme->onFill(5, data);
+    f.faults->injectTransient(5, 200);
+    EXPECT_TRUE(f.scheme->readsPayload(5));
+    AccessResult res = f.scheme->onReadHit(5, data);
+    EXPECT_FALSE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+
+    // A checkbit cell (positions 512..522) flips as well.
+    f.faults->clearTransients(6);
+    f.scheme->onFill(6, data);
+    f.faults->injectTransient(6, 517);
+    res = f.scheme->onReadHit(6, data);
+    EXPECT_FALSE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 2u);
+
+    f.scheme->onFill(7, data);
+    f.faults->injectTransient(7, 10);
+    f.faults->injectTransient(7, 11);
+    res = f.scheme->onReadHit(7, data);
+    EXPECT_TRUE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+    EXPECT_EQ(f.scheme->stats().counterValue("error_misses"), 1u);
+}
+
+TEST(BaselineTest, OnlyCodecSchemesReadPayloads)
+{
+    BaselineFixture f;
+    f.faults->plantFault(2, 10, true);
+    f.use(makeMsEcc(*f.faults));
+    EXPECT_FALSE(f.scheme->readsPayload(2)); // behavioural
+    f.use(makeDectedLine(*f.faults));
+    EXPECT_TRUE(f.scheme->readsPayload(2));
+    EXPECT_FALSE(f.scheme->readsPayload(3)); // fault-free
+    FaultFreeProtection none;
+    EXPECT_FALSE(none.readsPayload(2));
 }

@@ -4,12 +4,15 @@
  * banked write-through L2 — miss handling, MSHR merging, LRU
  * eviction, write-through semantics, protection-scheme integration
  * (error-induced misses, allocation gating and priorities, SDC
- * accounting, backdoor invalidation).
+ * accounting, backdoor invalidation), and the payload contract: a hook
+ * that reads its data gets the golden data of the line's version.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/l1cache.hh"
@@ -35,7 +38,30 @@ tinyGeom()
 class MockProtection : public ProtectionScheme
 {
   public:
+    /** One hook call that read its payload. */
+    struct PayloadSeen
+    {
+        std::string hook;
+        std::size_t line;
+        BitVec data;
+    };
+
     std::string name() const override { return "Mock"; }
+
+    bool
+    readsPayload(std::size_t lineId) const override
+    {
+        (void)lineId;
+        return payloadReads;
+    }
+
+    /** Record @p data as seen by @p hook when the script reads it. */
+    void
+    see(const char *hook, std::size_t lineId, const BitVec &data)
+    {
+        if (payloadReads)
+            seen.push_back({hook, lineId, data});
+    }
 
     bool
     canAllocate(std::size_t lineId) const override
@@ -52,7 +78,7 @@ class MockProtection : public ProtectionScheme
     AccessResult
     onReadHit(std::size_t lineId, const BitVec &data) override
     {
-        (void)data;
+        see("read_hit", lineId, data);
         lastReadLine = lineId;
         ++readHits;
         AccessResult res = nextResult;
@@ -63,7 +89,7 @@ class MockProtection : public ProtectionScheme
     Cycle
     onFill(std::size_t lineId, const BitVec &data) override
     {
-        (void)data;
+        see("fill", lineId, data);
         ++fills;
         lastFillLine = lineId;
         return 0;
@@ -72,10 +98,23 @@ class MockProtection : public ProtectionScheme
     Cycle
     onEvict(std::size_t lineId, const BitVec &data) override
     {
-        (void)data;
+        see("evict", lineId, data);
         ++evicts;
         lastEvictLine = lineId;
         return 0;
+    }
+
+    void
+    onWriteHit(std::size_t lineId, const BitVec &data) override
+    {
+        see("write_hit", lineId, data);
+    }
+
+    WritebackOutcome
+    onWriteback(std::size_t lineId, const BitVec &data) override
+    {
+        see("writeback", lineId, data);
+        return {};
     }
 
     void onInvalidate(std::size_t lineId) override
@@ -85,6 +124,9 @@ class MockProtection : public ProtectionScheme
     }
 
     AccessResult nextResult;
+    /** Scripted readsPayload() answer. */
+    bool payloadReads = false;
+    std::vector<PayloadSeen> seen;
     std::vector<bool> allocatable;
     std::vector<int> priorities;
     unsigned readHits = 0;
@@ -536,4 +578,106 @@ TEST(L2WritebackTest, CleanEvictionWritesNothing)
         f.readBlocking(i * setStride);
     EXPECT_EQ(f.l2.stats().counterValue("evictions"), 1u);
     EXPECT_EQ(f.dram.writes(), 0u);
+}
+
+// --- Payload contract ---------------------------------------------------
+
+TEST(L2PayloadTest, HooksReadGoldenDataAtTheLineVersion)
+{
+    L2Fixture f;
+    f.prot.payloadReads = true;
+    const CacheGeometry g = tinyGeom();
+    const std::size_t setStride = g.numSets() * g.lineBytes;
+    const Addr a = 0x100;
+
+    f.readBlocking(a); // fill, version 0
+    const std::size_t line = f.prot.lastFillLine;
+    f.readBlocking(a); // read hit
+    f.l2.write(a);     // write hit, version 1
+    f.eq.run();
+    f.readBlocking(a); // read hit at version 1
+    // Evict it: three more lines take the set's free ways, the fourth
+    // evicts the LRU way, which is a's, and refills it.
+    for (int i = 1; i <= 4; ++i)
+        f.readBlocking(a + i * setStride);
+    ASSERT_EQ(f.prot.lastEvictLine, line);
+
+    const BitVec v0 = f.golden.data(a, 0);
+    const BitVec v1 = f.golden.data(a, 1);
+    ASSERT_NE(v0, v1);
+    std::vector<std::pair<std::string, BitVec>> seen;
+    for (const auto &s : f.prot.seen) {
+        if (s.line == line)
+            seen.emplace_back(s.hook, s.data);
+    }
+    const std::vector<std::pair<std::string, BitVec>> want = {
+        {"fill", v0},     {"read_hit", v0}, {"write_hit", v1},
+        {"read_hit", v1}, {"evict", v1},
+        {"fill", f.golden.data(a + 4 * setStride)}};
+    EXPECT_EQ(seen, want);
+}
+
+TEST(L2PayloadTest, PayloadBuiltOnDemandAfterAPayloadFreeFill)
+{
+    // A line filled while its scheme reads nothing (no fault yet)
+    // still hands the right data to a later probe that does read it:
+    // the case of a transient landing on a fault-free line.
+    L2Fixture f;
+    const Addr a = 0x2c0;
+    f.readBlocking(a);
+    f.l2.write(a);
+    f.eq.run();
+    EXPECT_TRUE(f.prot.seen.empty());
+
+    f.prot.payloadReads = true;
+    f.readBlocking(a);
+    ASSERT_EQ(f.prot.seen.size(), 1u);
+    EXPECT_EQ(f.prot.seen[0].hook, "read_hit");
+    EXPECT_EQ(f.prot.seen[0].data, f.golden.data(a));
+    EXPECT_EQ(f.golden.version(a), 1u);
+
+    f.l2.invalidateLine(f.prot.lastReadLine);
+    ASSERT_EQ(f.prot.seen.size(), 2u);
+    EXPECT_EQ(f.prot.seen[1].hook, "evict");
+    EXPECT_EQ(f.prot.seen[1].data, f.golden.data(a));
+}
+
+TEST(L2PayloadTest, WritebackReadsOutTheStoredVersion)
+{
+    WbL2Fixture f;
+    f.prot.payloadReads = true;
+    const CacheGeometry g = tinyGeom();
+    const std::size_t setStride = g.numSets() * g.lineBytes;
+    const Addr a = 0x0;
+
+    f.readBlocking(a); // clean fill at version 0
+    f.l2.write(a);     // dirty, version 1
+    f.eq.run();
+    for (int i = 1; i <= 4; ++i)
+        f.readBlocking(a + i * setStride);
+    ASSERT_EQ(f.l2.stats().counterValue("writebacks"), 1u);
+
+    const BitVec v1 = f.golden.data(a, 1);
+    std::vector<std::string> hooks;
+    for (const auto &s : f.prot.seen) {
+        if (s.hook == "write_hit" || s.hook == "evict" ||
+            s.hook == "writeback") {
+            hooks.push_back(s.hook);
+            EXPECT_EQ(s.data, v1) << s.hook;
+        }
+    }
+    EXPECT_EQ(hooks, (std::vector<std::string>{"write_hit", "evict",
+                                               "writeback"}));
+
+    // Write-allocate: the fill and the store both see the new version.
+    f.prot.seen.clear();
+    const Addr b = 0x200;
+    f.l2.write(b);
+    f.eq.run();
+    ASSERT_EQ(f.prot.seen.size(), 2u);
+    EXPECT_EQ(f.prot.seen[0].hook, "fill");
+    EXPECT_EQ(f.prot.seen[1].hook, "write_hit");
+    EXPECT_EQ(f.prot.seen[0].data, f.golden.data(b));
+    EXPECT_EQ(f.prot.seen[1].data, f.golden.data(b));
+    EXPECT_EQ(f.golden.version(b), 1u);
 }

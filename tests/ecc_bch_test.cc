@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "common/hotpath.hh"
 #include "common/rng.hh"
 #include "ecc/bch.hh"
 #include "ecc/gf2m.hh"
@@ -339,4 +341,91 @@ TEST(BchTest, SlicedEncodeMatchesLfsrReference)
         data.randomize(rng);
         EXPECT_EQ(plain.encode(data), plain.encodeReference(data));
     }
+}
+
+// --- probe() fast path vs the full solver -----------------------------
+
+namespace
+{
+
+/** A code built under hotpathReferenceMode(): probe() always runs
+ *  Berlekamp-Massey and the Chien search. */
+std::unique_ptr<Bch>
+fullSolverBch(std::size_t k, unsigned t, bool extended)
+{
+    const bool previous = hotpathReferenceMode();
+    setHotpathReferenceMode(true);
+    auto code = std::make_unique<Bch>(k, t, extended);
+    setHotpathReferenceMode(previous);
+    return code;
+}
+
+void
+expectSameProbe(const Bch &fast, const Bch &full,
+                const std::vector<std::size_t> &errs)
+{
+    const DecodeResult a = fast.probe(errs);
+    const DecodeResult b = full.probe(errs);
+    ASSERT_EQ(a.status, b.status) << "errors: " << errs.size();
+    ASSERT_EQ(a.correctedBits, b.correctedBits);
+    ASSERT_EQ(a.syndromeNonZero, b.syndromeNonZero);
+    ASSERT_EQ(a.globalParityMismatch, b.globalParityMismatch);
+}
+
+} // namespace
+
+TEST(BchTest, FastProbeMatchesFullSolver)
+{
+    const Bch fast(512, 2, true);
+    const auto full = fullSolverBch(512, 2, true);
+    const std::size_t n = fast.codewordBits(); // includes the ext bit
+
+    expectSameProbe(fast, *full, {});
+    // Every single position, the extended-parity bit (n - 1) included.
+    for (std::size_t pos = 0; pos < n; ++pos)
+        expectSameProbe(fast, *full, {pos});
+    // Seeded distinct pairs, each with and without the extended bit.
+    Rng rng(2019);
+    for (int iter = 0; iter < 10000; ++iter)
+        expectSameProbe(fast, *full, distinctPositions(rng, 2, n));
+    for (std::size_t pos = 0; pos + 1 < n; pos += 7)
+        expectSameProbe(fast, *full, {n - 1, pos});
+    // Outside the fast path: repeats and t+1 errors take the solver
+    // on both sides.
+    expectSameProbe(fast, *full, {40, 40});
+    expectSameProbe(fast, *full, {3, 3, 90});
+    for (int iter = 0; iter < 200; ++iter)
+        expectSameProbe(fast, *full, distinctPositions(rng, 3, n));
+}
+
+TEST(BchTest, FastProbeMatchesFullSolverForStrongerCodes)
+{
+    Rng rng(77);
+    for (const unsigned t : {3u, 6u}) {
+        const Bch fast(512, t, true);
+        const auto full = fullSolverBch(512, t, true);
+        const std::size_t n = fast.codewordBits();
+        for (int iter = 0; iter < 1000; ++iter) {
+            const std::size_t w = 1 + rng.below(t);
+            expectSameProbe(fast, *full, distinctPositions(rng, w, n));
+        }
+    }
+    // Non-extended variant: no parity bit, no global mismatch.
+    const Bch fast(128, 2, false);
+    const auto full = fullSolverBch(128, 2, false);
+    for (int iter = 0; iter < 1000; ++iter) {
+        const std::size_t w = rng.below(3);
+        expectSameProbe(fast, *full,
+                        distinctPositions(rng, w, fast.codewordBits()));
+    }
+}
+
+TEST(BchDeathTest, FastProbeKeepsOutOfRangeFatal)
+{
+    const Bch ext(512, 2, true);
+    EXPECT_DEATH(ext.probe({ext.codewordBits()}), "out of codeword");
+    EXPECT_DEATH(ext.probe({5, ext.codewordBits() + 9}),
+                 "out of codeword");
+    const Bch plain(128, 2, false);
+    EXPECT_DEATH(plain.probe({plain.codewordBits()}), "out of codeword");
 }

@@ -699,3 +699,50 @@ TEST(KilliTest, WritebackDirtyStable1UsesDectedStrength)
     EXPECT_TRUE(out.clean);
     EXPECT_GT(out.extraCost, 0u);
 }
+
+// --- Payload contract ---------------------------------------------------
+
+TEST(KilliTest, TransientAfterFaultFreeFillIsCorrectedOrDetected)
+{
+    // The host builds a payload only for lines that can show an
+    // error. A fault-free line filled without one must still catch an
+    // upset landing after the fill: the probe re-derives the stored
+    // folded parity from the data it is handed.
+    KilliFixture f;
+    BitVec data(kLineBits);
+    Rng rng(21);
+    data.randomize(rng);
+
+    // b'01 (training): a single upset is corrected by SECDED.
+    EXPECT_FALSE(f.prot->readsPayload(7));
+    f.prot->onFill(7, data);
+    f.faults->injectTransient(7, 100);
+    EXPECT_TRUE(f.prot->readsPayload(7));
+    AccessResult res = f.prot->onReadHit(7, data);
+    EXPECT_FALSE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+    EXPECT_EQ(f.prot->stats().counterValue("corrections"), 1u);
+
+    // b'00 (trained clean): a single upset trips the folded parity —
+    // an error-induced miss and a relearn, never an SDC.
+    f.prot->onFill(9, data);
+    EXPECT_FALSE(f.prot->onReadHit(9, data).errorInducedMiss);
+    ASSERT_EQ(f.prot->dfhOf(9), Dfh::Stable0);
+    f.prot->onInvalidate(9);
+    f.faults->clearTransients(9); // the refill rewrites the cells
+    f.prot->onFill(9, data);
+    f.faults->injectTransient(9, 300);
+    res = f.prot->onReadHit(9, data);
+    EXPECT_TRUE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+    EXPECT_EQ(f.prot->dfhOf(9), Dfh::Initial);
+
+    // An upset on a folded parity cell (bit 512 + g) is seen too.
+    f.prot->onFill(11, data);
+    EXPECT_FALSE(f.prot->onReadHit(11, data).errorInducedMiss);
+    ASSERT_EQ(f.prot->dfhOf(11), Dfh::Stable0);
+    f.faults->injectTransient(11, 513);
+    res = f.prot->onReadHit(11, data);
+    EXPECT_TRUE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+}

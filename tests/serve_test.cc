@@ -353,6 +353,42 @@ TEST(JobScheduler, StateTracksLifecycle)
     EXPECT_TRUE(found);
 }
 
+TEST(JobScheduler, TerminalStateIsRecordedBeforeTheNotification)
+{
+    // Inside onFinish — where the server enqueues the result frame —
+    // the job already reads finished: status, cancel and stats agree
+    // with the result the client is about to read. The scheduler is
+    // not idle yet, so a drain still waits for the notification.
+    JobScheduler sched(1, 16);
+    JobState seenState = JobState::Queued;
+    bool seenCancel = true;
+    SchedulerStats seenStats;
+    bool seenIdle = true;
+    std::promise<void> notified;
+    ASSERT_TRUE(sched.submit(
+        1, 0, [](const CancelToken &) { return std::string("r1"); },
+        [&](std::uint64_t id, JobState, const std::string &,
+            const std::string &) {
+            seenState = sched.state(id);
+            seenCancel = sched.cancel(id);
+            seenStats = sched.stats();
+            seenIdle = sched.idle();
+            notified.set_value();
+        },
+        nullptr));
+    ASSERT_EQ(notified.get_future().wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    sched.drain();
+    EXPECT_EQ(seenState, JobState::Done);
+    EXPECT_FALSE(seenCancel);
+    EXPECT_EQ(seenStats.running, 0u);
+    EXPECT_EQ(seenStats.done, 1u);
+    EXPECT_EQ(seenStats.cancelled, 0u);
+    EXPECT_FALSE(seenIdle);
+    EXPECT_TRUE(sched.idle());
+    EXPECT_EQ(sched.stats().cancelled, 0u);
+}
+
 // ---------------------------------------------------------------
 // ResultCache
 // ---------------------------------------------------------------
@@ -542,6 +578,59 @@ TEST(ServeIntegration, CancelRunningJobYieldsCancelledOutcome)
     }
     EXPECT_TRUE(sawCancelReply);
     EXPECT_EQ(frame.at("outcome").asString(), "cancelled");
+    lo.server.stop();
+}
+
+TEST(ServeIntegration, FinishedJobReadsDoneRightAfterItsResult)
+{
+    // The scheduler records a job's terminal state before it sends the
+    // result frame, so a client asking right after reading the result
+    // sees the job finished: status "done", a cancel that cancels
+    // nothing, and no job running.
+    Loopback lo(1);
+    ScopedLogCapture quiet;
+    constexpr int kRecvMs = 30000;
+    std::uint64_t served = 0;
+    for (const char *workloads : {"xsbench", "spmv", "xsbench,spmv"}) {
+        Json req = smokeSubmit(false);
+        Json options = req.at("options");
+        options.set("workloads", Json::string(workloads));
+        req.set("options", std::move(options));
+
+        std::string rerr;
+        ASSERT_TRUE(lo.client.send(req));
+        Json frame;
+        ASSERT_TRUE(lo.client.recvWithin(frame, kRecvMs, &rerr)) << rerr;
+        ASSERT_EQ(frame.at("type").asString(), "submitted");
+        const std::uint64_t id = std::uint64_t(frame.at("id").asDouble());
+        ASSERT_TRUE(lo.client.recvWithin(frame, kRecvMs, &rerr)) << rerr;
+        ASSERT_EQ(frame.at("type").asString(), "result");
+        ASSERT_EQ(frame.at("outcome").asString(), "done");
+        ++served;
+
+        for (const char *type : {"status", "cancel"}) {
+            Json ask = Json::object();
+            ask.set("type", Json::string(type));
+            ask.set("id", Json::number(id));
+            ASSERT_TRUE(lo.client.send(ask));
+        }
+        Json stats = Json::object();
+        stats.set("type", Json::string("stats"));
+        ASSERT_TRUE(lo.client.send(stats));
+
+        ASSERT_TRUE(lo.client.recvWithin(frame, kRecvMs, &rerr)) << rerr;
+        ASSERT_EQ(frame.at("type").asString(), "status_reply");
+        EXPECT_EQ(frame.at("state").asString(), "done") << workloads;
+        ASSERT_TRUE(lo.client.recvWithin(frame, kRecvMs, &rerr)) << rerr;
+        ASSERT_EQ(frame.at("type").asString(), "cancel_reply");
+        EXPECT_FALSE(frame.at("cancelled").asBool()) << workloads;
+        ASSERT_TRUE(lo.client.recvWithin(frame, kRecvMs, &rerr)) << rerr;
+        ASSERT_EQ(frame.at("type").asString(), "stats_reply");
+        const Json &sched = frame.at("stats").at("scheduler");
+        EXPECT_EQ(sched.at("running").asInt(), 0) << workloads;
+        EXPECT_EQ(std::uint64_t(sched.at("done").asInt()), served);
+        EXPECT_EQ(sched.at("cancelled").asInt(), 0);
+    }
     lo.server.stop();
 }
 

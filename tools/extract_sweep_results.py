@@ -14,8 +14,13 @@ sampling, scratch reuse — can never silently change simulation
 results. See EXPERIMENTS.md ("Hot-path perf harness") for the
 re-record command and the libm caveat.
 
-Usage: extract_sweep_results.py <report.json>  (canonical JSON on
-stdout: sorted keys, fixed indentation, trailing newline)
+The optional second argument names another deterministic section
+to extract instead: softerror_resilience's ``table`` holds only
+simulated counts too.
+
+Usage: extract_sweep_results.py <report.json> [section]  (canonical
+JSON on stdout: sorted keys, fixed indentation, trailing newline;
+section defaults to ``workloads``)
 """
 
 import json
@@ -23,12 +28,13 @@ import sys
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         sys.stderr.write(__doc__)
         return 2
+    section = sys.argv[2] if len(sys.argv) == 3 else "workloads"
     with open(sys.argv[1]) as fh:
         doc = json.load(fh)
-    json.dump({"workloads": doc["workloads"]}, sys.stdout,
+    json.dump({section: doc[section]}, sys.stdout,
               sort_keys=True, indent=1)
     sys.stdout.write("\n")
     return 0
