@@ -82,9 +82,7 @@ main(int argc, char **argv)
                 r = sys.run();
                 disabledEnd = flair->disabledLines();
                 table.row({TextTable::num(rate, 12), name,
-                           std::to_string(sys.l2().stats()
-                                              .counterValue(
-                                                  "soft_errors")),
+                           std::to_string(sys.l2().stats().softErrors),
                            std::to_string(r.l2ErrorMisses),
                            std::to_string(r.sdc),
                            std::to_string(disabledEnd),
@@ -97,11 +95,9 @@ main(int argc, char **argv)
             GpuSystem sys(gp, killi, *wl, &faults);
             r = sys.run();
             disabledEnd = killi.dfhHistogram()[3];
-            scrubs = killi.stats().counterValue("scrub_reclaims");
+            scrubs = killi.killiStats().scrubReclaims;
             table.row({TextTable::num(rate, 12), name,
-                       std::to_string(
-                           sys.l2().stats().counterValue(
-                               "soft_errors")),
+                       std::to_string(sys.l2().stats().softErrors),
                        std::to_string(r.l2ErrorMisses),
                        std::to_string(r.sdc),
                        std::to_string(disabledEnd),

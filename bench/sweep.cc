@@ -1,5 +1,6 @@
 #include "bench/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
@@ -170,7 +171,7 @@ runPoint(const SweepOptions &opt, const FaultModel &model,
             });
     }
     const RunResult result = sys.run(opt.warmupPasses);
-    if (!opt.trace.empty() && opt.traceFiles) {
+    if (!opt.trace.empty() && !opt.traceDir.empty()) {
         const std::string path = opt.traceDir + "/" +
             pointFileStem(wlName, scheme) + ".trace.json";
         writeJsonFile(path, sink.chromeTraceJson());
@@ -251,7 +252,7 @@ declareSweepOptions(Options &opts, const std::string &benchName,
              "dfh,ecc,l2 or all; empty disables tracing)");
     opts.add("trace-dir", "results/trace",
              "directory for per-point Chrome trace_event files "
-             "(Perfetto-loadable)");
+             "(Perfetto-loadable; empty string writes none)");
     opts.add<std::uint64_t>("stats-interval", std::uint64_t{0},
                             "cycles between periodic stat snapshots "
                             "(0 disables the timeseries)");
@@ -281,6 +282,10 @@ sweepOptions(const Options &opts)
     if (opt.workloads.empty())
         opt.workloads = workloadNames();
     opt.schemes = splitList(opts.get<std::string>("schemes"));
+    if (const std::string *dup = firstDuplicate(opt.workloads))
+        fatal("sweep: workload '%s' is listed twice", dup->c_str());
+    if (const std::string *dup = firstDuplicate(opt.schemes))
+        fatal("sweep: scheme '%s' is listed twice", dup->c_str());
     opt.trace = opts.get<std::string>("trace");
     opt.traceDir = opts.get<std::string>("trace-dir");
     opt.statsInterval =
@@ -296,6 +301,16 @@ sweepOptions(const Options &opts)
             fatal("sweep: %s", err.c_str());
     }
     return opt;
+}
+
+const std::string *
+firstDuplicate(const std::vector<std::string> &names)
+{
+    for (auto it = names.begin(); it != names.end(); ++it) {
+        if (std::find(names.begin(), it, *it) != it)
+            return &*it;
+    }
+    return nullptr;
 }
 
 std::vector<std::string>
@@ -397,7 +412,7 @@ runEvaluationSweep(const SweepOptions &opt)
     // Jobs append trace files concurrently; create the directory
     // once, up front, instead of racing create_directories in every
     // worker.
-    if (!opt.trace.empty() && opt.traceFiles)
+    if (!opt.trace.empty() && !opt.traceDir.empty())
         std::filesystem::create_directories(opt.traceDir);
 
     // Point-completion progress: wrap each job so the observer sees

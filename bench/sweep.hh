@@ -87,12 +87,11 @@ struct SweepOptions
      *  or "all"); empty disables tracing entirely. */
     std::string trace;
     /** Directory receiving one Chrome trace_event file per traced
-     *  sweep point (load them in Perfetto / chrome://tracing). */
+     *  sweep point (load them in Perfetto / chrome://tracing); empty
+     *  writes no trace files. Record/replay sessions clear it: the
+     *  events still flow to the ReplayProbe, but nothing touches the
+     *  filesystem. */
     std::string traceDir = "results/trace";
-    /** Write the per-point Chrome trace files above. Record/replay
-     *  sessions trace with this off: the events still flow to the
-     *  ReplayProbe, but nothing touches the filesystem. */
-    bool traceFiles = true;
     /** Cycles between periodic stat snapshots (0 disables the
      *  timeseries machinery). */
     Cycle statsInterval = 0;
@@ -161,8 +160,13 @@ void declareScenarioOption(Options &opts);
 ScenarioSpec scenarioOption(const Options &opts);
 
 /** Extract a SweepOptions from parsed @p opts; knobs left undeclared
- *  keep their SweepOptions defaults. */
+ *  keep their SweepOptions defaults. A workload or scheme listed
+ *  twice is a usage error. */
 SweepOptions sweepOptions(const Options &opts);
+
+/** The first name in @p names that an earlier entry repeats, or
+ *  nullptr when all are distinct (a campaign runs each name once). */
+const std::string *firstDuplicate(const std::vector<std::string> &names);
 
 /** One scheme's result on one workload. */
 struct SchemeRun

@@ -70,13 +70,11 @@ main(int argc, char **argv)
         GpuSystem sys(gp, killi, *wl, &faults);
         const RunResult r = sys.run(/*warmupPasses=*/1);
 
-        const std::uint64_t losses =
-            sys.l2().stats().counterValue("wb_data_loss") +
-            sys.l2().stats().counterValue("dirty_error_loss");
+        const std::uint64_t losses = sys.l2().stats().wbDataLoss +
+                                     sys.l2().stats().dirtyErrorLoss;
         table.row({label, std::to_string(r.cycles),
                    std::to_string(r.dramWrites),
-                   std::to_string(
-                       killi.stats().counterValue("ecc_drops")),
+                   std::to_string(killi.killiStats().eccDrops),
                    std::to_string(losses), std::to_string(r.sdc)});
     };
 

@@ -11,14 +11,6 @@ PrecharacterizedScheme::PrecharacterizedScheme(FaultMap &fault_map,
 {
     if (!p.behavioral)
         code = makeCode(p.kind, 512);
-
-    cReads = &statGroup.counter("reads", "protected read hits");
-    cCorrections =
-        &statGroup.counter("corrections", "ECC corrections applied");
-    cErrorMisses = &statGroup.counter("error_misses",
-                                      "error-induced misses raised");
-    cDisabledLines = &statGroup.counter(
-        "disabled_lines", "lines disabled by pre-characterization");
 }
 
 std::size_t
@@ -44,12 +36,10 @@ PrecharacterizedScheme::reset()
     // The MBIST bitmapping pass: every line is pattern-tested and
     // flagged enabled/disabled. (The paper excludes this phase from
     // the reported execution times; so do we.)
-    cDisabledLines->reset();
     for (std::size_t i = 0; i < enabled.size(); ++i) {
         const unsigned n = faults.countFaults(i, physBits());
         enabled[i] = n < p.disableThreshold;
         if (!enabled[i]) {
-            ++*cDisabledLines;
             KTRACE(trace, tickNow(), TraceCat::Error,
                    "prechar.line_disable", {"line", i},
                    {"faults", std::uint64_t(n)});
@@ -91,7 +81,7 @@ AccessResult
 PrecharacterizedScheme::onReadHit(std::size_t lineId,
                                   const BitVec &data)
 {
-    ++*cReads;
+    ++st.reads;
     AccessResult res;
     // The parity/syndrome check overlaps the 2-cycle data access;
     // latency is only exposed when error processing actually runs.
@@ -103,7 +93,7 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         // MS-ECC line-level model: an enabled line has at most 11
         // faults, all within the OLSC correction capability.
         res.extraLatency += p.correctionLatency;
-        ++*cCorrections;
+        ++st.corrections;
         return res;
     }
 
@@ -124,20 +114,20 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         res.sdc = true;
         break;
       case DecodeStatus::Corrected:
-        ++*cCorrections;
+        ++st.corrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId});
         res.extraLatency += p.correctionLatency;
         break;
       case DecodeStatus::DetectedUncorrectable:
         // Write-through: drop and refetch.
-        ++*cErrorMisses;
+        ++st.errorMisses;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.detect",
                {"line", lineId});
         res.errorInducedMiss = true;
         break;
       case DecodeStatus::Miscorrected:
-        ++*cCorrections;
+        ++st.corrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId});
         res.extraLatency += p.correctionLatency;

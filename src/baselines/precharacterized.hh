@@ -89,12 +89,6 @@ class PrecharacterizedScheme : public ProtectionScheme
     /** Probe scratch (a scheme instance is single-threaded). */
     BitVec checkScratch;
     std::vector<std::size_t> errsScratch;
-
-    /** Interned stat handles (StatGroup's nodes are address-stable). */
-    Counter *cReads = nullptr;
-    Counter *cCorrections = nullptr;
-    Counter *cErrorMisses = nullptr;
-    Counter *cDisabledLines = nullptr;
 };
 
 /** SECDED per line + disable bit (the paper's area yardstick). */

@@ -7,8 +7,6 @@ L1Cache::L1Cache(const CacheGeometry &geometry)
     : geom(geometry), index(geometry, "L1Cache"),
       lines(geometry.numLines())
 {
-    cHits = &statGroup.counter("hits", "L1 load hits");
-    cMisses = &statGroup.counter("misses", "L1 load misses");
 }
 
 L1Cache::Line *
@@ -29,10 +27,10 @@ L1Cache::lookup(Addr addr)
 {
     if (Line *line = findLine(addr)) {
         line->lastUse = ++useCounter;
-        ++*cHits;
+        ++st.hits;
         return true;
     }
-    ++*cMisses;
+    ++st.misses;
     return false;
 }
 

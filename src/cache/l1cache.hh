@@ -12,12 +12,18 @@
 
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "cache/geometry.hh"
 
 namespace killi
 {
+
+/** L1 load lookup counters. */
+struct L1Stats
+{
+    std::uint64_t hits = 0;   //!< load hits
+    std::uint64_t misses = 0; //!< load misses
+};
 
 class L1Cache
 {
@@ -39,7 +45,7 @@ class L1Cache
     /** Drop everything (kernel boundary). */
     void flush();
 
-    StatGroup &stats() { return statGroup; }
+    const L1Stats &stats() const { return st; }
 
   private:
     struct Line
@@ -55,10 +61,7 @@ class L1Cache
     SetIndex index;
     std::vector<Line> lines;
     std::uint64_t useCounter = 0;
-    StatGroup statGroup;
-    /** Interned stat handles (StatGroup's nodes are address-stable). */
-    Counter *cHits = nullptr;
-    Counter *cMisses = nullptr;
+    L1Stats st;
 };
 
 } // namespace killi

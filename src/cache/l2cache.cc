@@ -22,37 +22,6 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
         fatal("L2Cache: soft-error injection needs a FaultMap");
     protection.attach(*this, geometry);
     protection.setTrace(trace);
-
-    cReadHits = &statGroup.counter("read_hits", "load hits");
-    cReadMisses = &statGroup.counter("read_misses",
-                                     "demand load misses");
-    cErrorMisses = &statGroup.counter(
-        "error_misses", "error-induced misses (detected errors)");
-    cWriteHits = &statGroup.counter("write_hits",
-                                    "store hits (updated in place)");
-    cWriteMisses = &statGroup.counter("write_misses",
-                                      "store misses (no allocate)");
-    cEvictions = &statGroup.counter("evictions",
-                                    "capacity/conflict evictions");
-    cBypassFills = &statGroup.counter(
-        "bypass_fills", "fills dropped: no allocatable way in set");
-    cMshrRetries = &statGroup.counter(
-        "mshr_retries", "accesses replayed on full MSHR");
-    cProtInvalidations = &statGroup.counter(
-        "prot_invalidations", "lines dropped by the protection scheme");
-    cSdc = &statGroup.counter("sdc",
-                              "silent data corruptions (oracle)");
-    cSoftErrors = &statGroup.counter("soft_errors",
-                                     "transient upsets injected");
-    cMaintenance = &statGroup.counter("maintenance",
-                                      "scrubber passes run");
-    cWritebacks = &statGroup.counter("writebacks",
-                                     "dirty lines flushed to memory");
-    cWbDataLoss = &statGroup.counter(
-        "wb_data_loss", "dirty write-backs with uncorrectable data");
-    cDirtyErrorLoss = &statGroup.counter(
-        "dirty_error_loss",
-        "dirty lines lost to uncorrectable read errors");
 }
 
 const BitVec &
@@ -78,10 +47,10 @@ L2Cache::writebackIfDirty(std::size_t lineId, Line &line, BitVec &buf)
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.writeback",
            {"line", lineId}, {"clean", wb.clean});
     if (!wb.clean)
-        ++*cWbDataLoss;
+        ++st.wbDataLoss;
     if (wb.extraCost)
         chargeBank(lineAddr, wb.extraCost);
-    ++*cWritebacks;
+    ++st.writebacks;
     dram.access(lineAddr, true, eq.curTick());
 }
 
@@ -106,14 +75,14 @@ L2Cache::sampleUpsets(std::size_t lineId, Line &line)
         faultMap->injectTransient(lineId, bit);
         KTRACE(trace, now, TraceCat::Error, "error.soft_error",
                {"line", lineId}, {"bit", std::uint64_t(bit)});
-        ++*cSoftErrors;
+        ++st.softErrors;
         if (upsetRng.uniform() < p.softErrorBurstFraction) {
             // Multi-bit event in adjacent cells (Maiz et al.): the
             // case interleaved parity is built for.
             const std::uint16_t neighbour = static_cast<std::uint16_t>(
                 bit + 1u < bits ? bit + 1 : bit - 1);
             faultMap->injectTransient(lineId, neighbour);
-            ++*cSoftErrors;
+            ++st.softErrors;
         }
     }
 }
@@ -127,7 +96,7 @@ L2Cache::maybeMaintain()
     if (now - lastMaintenance < p.maintenanceInterval)
         return;
     lastMaintenance = now;
-    ++*cMaintenance;
+    ++st.maintenance;
     protection.onMaintenance();
 }
 
@@ -183,7 +152,7 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb &&cb)
     if (line)
         sampleUpsets(lineId, *line);
     if (!line) {
-        ++*cReadMisses;
+        ++st.readMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.read_miss",
                {"addr", lineAddr});
         startMiss(lineAddr, std::move(cb), 0);
@@ -193,7 +162,7 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb &&cb)
     const AccessResult res =
         protection.onReadHit(lineId, payload(lineId, *line, payloadBuf));
     if (res.errorInducedMiss) {
-        ++*cErrorMisses;
+        ++st.errorMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.error_miss",
                {"line", lineId}, {"addr", lineAddr},
                {"dirty", line->dirty});
@@ -201,7 +170,7 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb &&cb)
             // Write-back mode: the only copy was uncorrectable. The
             // loss is recorded by the oracle; the refetch proceeds
             // so the simulation remains deterministic.
-            ++*cDirtyErrorLoss;
+            ++st.dirtyErrorLoss;
             line->dirty = false;
         }
         line->valid = false;
@@ -210,11 +179,11 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb &&cb)
         return;
     }
 
-    ++*cReadHits;
+    ++st.readHits;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.read_hit",
            {"line", lineId});
     if (res.sdc) {
-        ++*cSdc;
+        ++st.sdc;
         KTRACE(trace, eq.curTick(), TraceCat::Error, "error.sdc",
                {"line", lineId}, {"addr", lineAddr});
     }
@@ -242,7 +211,7 @@ L2Cache::startMiss(Addr lineAddr, RespCb &&cb, Cycle extraDelay)
             freeEntry = e;
     }
     if (freeEntry == npos) {
-        ++*cMshrRetries;
+        ++st.mshrRetries;
         eq.scheduleIn(p.mshrRetryDelay,
                       [this, lineAddr, cb = std::move(cb),
                        extraDelay]() mutable {
@@ -319,7 +288,7 @@ L2Cache::allocate(Addr lineAddr)
 
         Line &victim = lines[victimId];
         if (victim.valid) {
-            ++*cEvictions;
+            ++st.evictions;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.evict",
                    {"line", victimId});
             const Cycle cost = protection.onEvict(
@@ -351,7 +320,7 @@ L2Cache::allocate(Addr lineAddr)
     }
 
     // Serve without caching.
-    ++*cBypassFills;
+    ++st.bypassFills;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.bypass_fill",
            {"addr", lineAddr});
     return npos;
@@ -369,7 +338,7 @@ L2Cache::write(Addr addr)
         Line *line = findLine(lineAddr, lineId);
         if (!line && p.writePolicy == WritePolicy::WriteBack) {
             // Write-allocate: a full-line store installs directly.
-            ++*cWriteMisses;
+            ++st.writeMisses;
             const std::size_t allocated = allocate(lineAddr);
             if (allocated == npos) {
                 dram.access(lineAddr, true, eq.curTick());
@@ -382,7 +351,7 @@ L2Cache::write(Addr addr)
             return;
         }
         if (line) {
-            ++*cWriteHits;
+            ++st.writeHits;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
                    {"line", lineId});
             line->version = golden.version(lineAddr);
@@ -395,7 +364,7 @@ L2Cache::write(Addr addr)
             protection.onWriteHit(lineId,
                                   payload(lineId, *line, payloadBuf));
         } else {
-            ++*cWriteMisses;
+            ++st.writeMisses;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_miss",
                    {"addr", lineAddr});
         }
@@ -421,7 +390,7 @@ L2Cache::invalidateLine(std::size_t lineId)
         chargeBank(lineAddr, cost);
     writebackIfDirty(lineId, line, backdoorBuf);
     line.valid = false;
-    ++*cProtInvalidations;
+    ++st.protInvalidations;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.prot_invalidate",
            {"line", lineId});
     protection.onInvalidate(lineId);

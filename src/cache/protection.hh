@@ -25,10 +25,10 @@
 #ifndef KILLI_CACHE_PROTECTION_HH
 #define KILLI_CACHE_PROTECTION_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/bitvec.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "cache/geometry.hh"
 #include "trace/timeseries.hh"
@@ -71,6 +71,17 @@ struct WritebackOutcome
     bool clean = true;
     /** Additional bank cycles for the correction. */
     Cycle extraCost = 0;
+};
+
+/**
+ * Counters every protection scheme keeps. They accumulate for the
+ * scheme's life: the host's warmup boundary does not reset them.
+ */
+struct ProtectionStats
+{
+    std::uint64_t reads = 0;       //!< protected read hits
+    std::uint64_t corrections = 0; //!< ECC corrections applied
+    std::uint64_t errorMisses = 0; //!< error-induced misses raised
 };
 
 class ProtectionScheme
@@ -198,8 +209,7 @@ class ProtectionScheme
      */
     virtual void addTimeseriesSources(StatTimeseries &ts) { (void)ts; }
 
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
+    const ProtectionStats &stats() const { return st; }
 
   protected:
     /** Current tick, or 0 before attach() (for trace timestamps). */
@@ -207,7 +217,7 @@ class ProtectionScheme
 
     L2Backdoor *host = nullptr;
     CacheGeometry geometry;
-    StatGroup statGroup;
+    ProtectionStats st;
     TraceSink *trace = nullptr;
 };
 

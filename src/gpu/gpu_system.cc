@@ -76,22 +76,20 @@ GpuSystem::GpuSystem(const GpuParams &params,
             return double(measuredInstructions());
         });
         series.addSource("l2_read_hits", [this] {
-            return double(l2Cache->stats().counterValue("read_hits"));
+            return double(l2Cache->stats().readHits);
         });
         series.addSource("l2_read_misses", [this] {
-            return double(l2Cache->stats().counterValue("read_misses"));
+            return double(l2Cache->stats().readMisses);
         });
         series.addSource("l2_error_misses", [this] {
-            return double(
-                l2Cache->stats().counterValue("error_misses"));
+            return double(l2Cache->stats().errorMisses);
         });
         // Same definition as RunResult::mpki(), evaluated mid-run:
         // the final post-run sample matches the aggregate result.
         series.addSource("mpki", [this] {
-            const StatGroup &l2s = l2Cache->stats();
+            const L2Stats &l2s = l2Cache->stats();
             const double misses =
-                double(l2s.counterValue("read_misses")) +
-                double(l2s.counterValue("error_misses"));
+                double(l2s.readMisses) + double(l2s.errorMisses);
             const std::uint64_t instr = measuredInstructions();
             return instr ? misses * 1000.0 / double(instr) : 0.0;
         });
@@ -144,8 +142,8 @@ GpuSystem::run(unsigned warmupPasses)
         instrBase = 0;
         for (const auto &cu : cus)
             instrBase += cu->instructions();
-        l2Cache->stats().resetAll();
-        dram->stats().resetAll();
+        l2Cache->resetStats();
+        dram->resetStats();
         // The measured region starts clean: warmup samples would mix
         // pre-reset counter values into the series.
         series.clearSamples();
@@ -163,28 +161,19 @@ GpuSystem::run(unsigned warmupPasses)
     for (const auto &cu : cus)
         r.instructions += cu->instructions();
     r.instructions -= instrBase;
-    const StatGroup &l2s = l2Cache->stats();
-    r.l2ReadHits = l2s.counterValue("read_hits");
-    r.l2ReadMisses = l2s.counterValue("read_misses");
-    r.l2ErrorMisses = l2s.counterValue("error_misses");
-    r.l2WriteHits = l2s.counterValue("write_hits");
-    r.l2WriteMisses = l2s.counterValue("write_misses");
-    r.l2Evictions = l2s.counterValue("evictions");
-    r.l2ProtInvalidations = l2s.counterValue("prot_invalidations");
-    r.l2BypassFills = l2s.counterValue("bypass_fills");
-    r.sdc = l2s.counterValue("sdc");
-    r.dramReads = dram->reads();
-    r.dramWrites = dram->writes();
+    const L2Stats &l2s = l2Cache->stats();
+    r.l2ReadHits = l2s.readHits;
+    r.l2ReadMisses = l2s.readMisses;
+    r.l2ErrorMisses = l2s.errorMisses;
+    r.l2WriteHits = l2s.writeHits;
+    r.l2WriteMisses = l2s.writeMisses;
+    r.l2Evictions = l2s.evictions;
+    r.l2ProtInvalidations = l2s.protInvalidations;
+    r.l2BypassFills = l2s.bypassFills;
+    r.sdc = l2s.sdc;
+    r.dramReads = dram->stats().reads;
+    r.dramWrites = dram->stats().writes;
     return r;
-}
-
-void
-GpuSystem::dumpStats(std::ostream &os) const
-{
-    l2Cache->stats().dump(os, "l2.");
-    dram->stats().dump(os, "dram.");
-    for (std::size_t i = 0; i < l1s.size(); ++i)
-        l1s[i]->stats().dump(os, "l1." + std::to_string(i) + ".");
 }
 
 } // namespace killi

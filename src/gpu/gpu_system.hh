@@ -26,7 +26,6 @@
 #define KILLI_GPU_GPU_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -130,9 +129,6 @@ class GpuSystem
      *        measured region then reflects steady state.
      */
     RunResult run(unsigned warmupPasses = 0);
-
-    /** Dump all component statistics (post-run diagnostics). */
-    void dumpStats(std::ostream &os) const;
 
     /** The periodic stat snapshots (empty when statsInterval == 0 or
      *  before run()). */

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/trace.hh"
 
@@ -43,6 +42,15 @@ struct EccEntry
      *  the width is modelled (probes derive every check outcome from
      *  the line's error positions), so the bits stay zero. */
     BitVec fineParity{0};
+};
+
+/** ECC-cache activity counters (accumulate for the cache's life). */
+struct EccCacheStats
+{
+    std::uint64_t accesses = 0;  //!< lookups
+    std::uint64_t allocs = 0;    //!< entries allocated
+    std::uint64_t evictions = 0; //!< live entries evicted (drops an L2 line)
+    std::uint64_t frees = 0;     //!< entries freed after training
 };
 
 class EccCache
@@ -96,8 +104,7 @@ class EccCache
      *  invalid slots are included — test EccEntry::valid. */
     const std::vector<EccEntry> &entries() const { return table; }
 
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
+    const EccCacheStats &stats() const { return st; }
 
     /** Attach a trace sink for ecc.* events; @p now supplies the
      *  timestamp (the ECC cache has no clock of its own). */
@@ -118,12 +125,7 @@ class EccCache
     std::size_t sets;
     std::vector<EccEntry> table;
     std::uint64_t useCounter = 0;
-    StatGroup statGroup;
-    /** Interned stat handles (StatGroup's nodes are address-stable). */
-    Counter *cAccesses = nullptr;
-    Counter *cAllocs = nullptr;
-    Counter *cEvictions = nullptr;
-    Counter *cFrees = nullptr;
+    EccCacheStats st;
     TraceSink *trace = nullptr;
     std::function<Tick()> clock;
 };

@@ -10,6 +10,19 @@ namespace
 constexpr std::size_t kDataBits = 512;
 /** LV-vulnerable cells per Killi line: payload + folded parity. */
 constexpr std::size_t kPhysBits = kDataBits + 4;
+
+/**
+ * The nine DFH edges the state machine can take, [from][to] by 2-bit
+ * encoding: b'00 -> b'01/b'10 (dirty reclassification)/b'11,
+ * b'01 -> b'00/b'10/b'11, b'10 -> b'00/b'11, and b'11 -> b'01 (scrub
+ * reclaim). noteTransition panics on any other edge.
+ */
+constexpr bool kLegalEdges[4][4] = {
+    /* from b'00 */ {false, true, true, true},
+    /* from b'01 */ {true, false, true, true},
+    /* from b'10 */ {true, false, false, true},
+    /* from b'11 */ {false, true, false, false},
+};
 } // namespace
 
 #ifdef KILLI_CHECK_INVARIANTS
@@ -68,53 +81,6 @@ KilliProtection::KilliProtection(FaultMap &fault_map,
               params.groups, params.segments);
     if (params.dectedStable || params.writebackMode)
         strongCode = makeCode(CodeKind::Dected, kDataBits);
-
-    cReads = &statGroup.counter("reads", "protected read hits");
-    cCorrections =
-        &statGroup.counter("corrections", "SECDED corrections applied");
-    cErrorMisses =
-        &statGroup.counter("error_misses", "error-induced misses raised");
-    cEvictTrainings = &statGroup.counter(
-        "evict_trainings", "b'01 lines classified at eviction");
-    cEccDrops = &statGroup.counter(
-        "ecc_drops", "L2 lines dropped by ECC-cache eviction");
-    cInvertedChecks = &statGroup.counter(
-        "inverted_checks", "inverted-write fill disclosures (5.6.2)");
-    cScrubReclaims = &statGroup.counter(
-        "scrub_reclaims", "disabled lines released by the scrubber");
-
-    // Every reachable DFH edge gets a registered, interned counter;
-    // noteTransition panics on anything outside this set rather than
-    // letting StatGroup silently auto-create an undocumented name.
-    const auto edge = [this](Dfh from, Dfh to, const char *name,
-                             const char *desc) {
-        transitionCounter[static_cast<std::size_t>(from)]
-                         [static_cast<std::size_t>(to)] =
-            &statGroup.counter(name, desc);
-    };
-    edge(Dfh::Stable0, Dfh::Initial, "t_00_01",
-         "transitions b'00 -> b'01");
-    edge(Dfh::Stable0, Dfh::Stable1, "t_00_10",
-         "transitions b'00 -> b'10 (dirty-line reclassification)");
-    edge(Dfh::Stable0, Dfh::Disabled, "t_00_11",
-         "transitions b'00 -> b'11");
-    edge(Dfh::Initial, Dfh::Stable0, "t_01_00",
-         "transitions b'01 -> b'00");
-    edge(Dfh::Initial, Dfh::Stable1, "t_01_10",
-         "transitions b'01 -> b'10");
-    edge(Dfh::Initial, Dfh::Disabled, "t_01_11",
-         "transitions b'01 -> b'11");
-    edge(Dfh::Stable1, Dfh::Stable0, "t_10_00",
-         "transitions b'10 -> b'00");
-    edge(Dfh::Stable1, Dfh::Disabled, "t_10_11",
-         "transitions b'10 -> b'11");
-    edge(Dfh::Disabled, Dfh::Initial, "t_11_01",
-         "transitions b'11 -> b'01 (scrub reclaim)");
-
-    dTrainingAccesses = &statGroup.distribution(
-        "dfh.training_accesses",
-        "read hits before a line leaves b'01");
-    dTrainingAccesses->initBuckets(0, 64, 16);
 }
 
 std::string
@@ -141,7 +107,6 @@ KilliProtection::attach(L2Backdoor &backdoor, const CacheGeometry &geom)
                                      geom.assoc);
     state.assign(geom.numLines(), Dfh::Initial);
     dirtyLine.assign(geom.numLines(), false);
-    trainAccesses.assign(geom.numLines(), 0);
     ecc->setTrace(trace, [this] { return tickNow(); });
 }
 
@@ -151,7 +116,6 @@ KilliProtection::reset()
     // Voltage change / reboot: relearn everything (paper §2.4).
     std::fill(state.begin(), state.end(), Dfh::Initial);
     std::fill(dirtyLine.begin(), dirtyLine.end(), false);
-    std::fill(trainAccesses.begin(), trainAccesses.end(), 0);
     ecc->clear();
 }
 
@@ -231,16 +195,13 @@ KilliProtection::noteTransition(std::size_t lineId, Dfh from, Dfh to,
     KTRACE(trace, tickNow(), TraceCat::Dfh, "dfh.transition",
            {"line", lineId}, {"from", dfhCName(from)},
            {"to", dfhCName(to)}, {"trigger", trigger});
-    if (from == Dfh::Initial)
-        dTrainingAccesses->sample(double(trainAccesses[lineId]));
-    trainAccesses[lineId] = 0;
-    Counter *c = transitionCounter[static_cast<std::size_t>(from)]
-                                  [static_cast<std::size_t>(to)];
-    if (!c) {
-        panic("Killi: unregistered DFH transition %s -> %s (%s)",
+    const auto f = static_cast<std::size_t>(from);
+    const auto t = static_cast<std::size_t>(to);
+    if (!kLegalEdges[f][t]) {
+        panic("Killi: illegal DFH transition %s -> %s (%s)",
               dfhName(from).c_str(), dfhName(to).c_str(), trigger);
     }
-    ++*c;
+    ++kst.transitions[f][t];
 }
 
 const BlockCode &
@@ -289,7 +250,7 @@ KilliProtection::installMetadata(std::size_t lineId, Dfh forState)
         // new entry is fully populated — the host callback re-enters
         // this scheme (onEvict/onInvalidate of the dropped line) and
         // must observe a consistent structure.
-        ++*cEccDrops;
+        ++kst.eccDrops;
         host->invalidateLine(evictedLine);
     }
 }
@@ -316,7 +277,7 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &)
         // §5.6.2: write -> read -> write-inverted -> read exposes
         // every stuck cell regardless of the stored polarity. Two
         // extra array operations; classification is then exact.
-        ++*cInvertedChecks;
+        ++kst.invertedChecks;
         cost += 2;
         const unsigned faultsSeen =
             faults.countFaults(lineId, kPhysBits);
@@ -461,14 +422,12 @@ AccessResult
 KilliProtection::onReadHit(std::size_t lineId, const BitVec &data)
 {
     KILLI_CHECK_INV(lineId, "onReadHit");
-    ++*cReads;
+    ++st.reads;
     const Dfh d = state[lineId];
     if (d == Dfh::Disabled)
         panic("Killi: read hit on a disabled line");
 
     const bool isDirty = p.writebackMode && dirtyLine[lineId];
-    if (d == Dfh::Initial)
-        ++trainAccesses[lineId];
     const Probes probes = probeLine(lineId, data, d, isDirty);
 
     DfhDecision dec;
@@ -533,7 +492,7 @@ KilliProtection::onReadHit(std::size_t lineId, const BitVec &data)
         res.sdc = probes.dataCorrupt;
         break;
       case DfhAction::CorrectAndSend:
-        ++*cCorrections;
+        ++st.corrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId}, {"dfh", dfhCName(dec.next)});
         res.extraLatency += p.correctionLatency;
@@ -542,7 +501,7 @@ KilliProtection::onReadHit(std::size_t lineId, const BitVec &data)
         res.sdc = probes.eccStatus == DecodeStatus::Miscorrected;
         break;
       case DfhAction::ErrorMiss:
-        ++*cErrorMisses;
+        ++st.errorMisses;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.detect",
                {"line", lineId}, {"dfh", dfhCName(dec.next)});
         res.errorInducedMiss = true;
@@ -568,7 +527,7 @@ KilliProtection::onWriteback(std::size_t lineId, const BitVec &data)
       case DecodeStatus::Corrected:
         out.clean = true;
         out.extraCost = p.correctionLatency;
-        ++*cCorrections;
+        ++st.corrections;
         break;
       case DecodeStatus::Miscorrected:
       case DecodeStatus::DetectedUncorrectable:
@@ -607,7 +566,7 @@ KilliProtection::onEvict(std::size_t lineId, const BitVec &data)
 
     // §4.4: read the dying line out once and classify it so the DFH
     // bits (which persist across data blocks) are trained.
-    ++*cEvictTrainings;
+    ++kst.evictTrainings;
     const Probes probes = probeLine(lineId, data, Dfh::Initial);
     DfhDecision dec;
     if (p.dectedStable && probes.synNonZero && !probes.gpMismatch) {
@@ -660,12 +619,11 @@ KilliProtection::onMaintenance()
     for (std::size_t id = 0; id < state.size(); ++id) {
         if (state[id] == Dfh::Disabled) {
             // Route through noteTransition like every other DFH
-            // edge: per-line dfh.transition trace event, the
-            // registered t_11_01 counter, and the trainAccesses
-            // reset all come with it.
+            // edge: the per-line dfh.transition trace event and the
+            // b'11 -> b'01 counter come with it.
             noteTransition(id, Dfh::Disabled, Dfh::Initial, "scrub");
             state[id] = Dfh::Initial;
-            ++*cScrubReclaims;
+            ++kst.scrubReclaims;
             ++reclaimed;
         }
     }

@@ -74,6 +74,17 @@ struct KilliParams
     bool writebackMode = false;
 };
 
+/** Killi's counters beyond the ProtectionStats every scheme keeps. */
+struct KilliStats
+{
+    std::uint64_t evictTrainings = 0; //!< b'01 lines classified at eviction
+    std::uint64_t eccDrops = 0;       //!< L2 lines dropped by ECC evictions
+    std::uint64_t invertedChecks = 0; //!< inverted-write disclosures (§5.6.2)
+    std::uint64_t scrubReclaims = 0;  //!< disabled lines the scrubber freed
+    /** DFH transitions [from][to], indexed by the 2-bit encodings. */
+    std::array<std::array<std::uint64_t, 4>, 4> transitions{};
+};
+
 class KilliProtection : public ProtectionScheme
 {
   public:
@@ -111,6 +122,8 @@ class KilliProtection : public ProtectionScheme
 
     const KilliParams &params() const { return p; }
 
+    const KilliStats &killiStats() const { return kst; }
+
   private:
     /** Signals derived from the visible fault pattern of a line. */
     struct Probes
@@ -137,9 +150,8 @@ class KilliProtection : public ProtectionScheme
     /** §5.6.1 decision for dirty lines (no refetch possible). */
     DfhDecision decideDirty(Dfh current, const Probes &probes) const;
 
-    /** Record a DFH transition: edge counter, dfh.transition trace
-     *  event (with @p trigger naming the hook that caused it), and —
-     *  when a line leaves b'01 — the dfh.training_accesses sample. */
+    /** Record a DFH transition: edge counter and dfh.transition trace
+     *  event (with @p trigger naming the hook that caused it). */
     void noteTransition(std::size_t lineId, Dfh from, Dfh to,
                         const char *trigger);
 
@@ -161,27 +173,7 @@ class KilliProtection : public ProtectionScheme
     std::unique_ptr<BlockCode> secded;
     std::unique_ptr<BlockCode> strongCode; //!< DECTED when enabled
 
-    /**
-     * Interned stat handles: per-access bumps go through these
-     * pointers instead of StatGroup's by-name map lookup. StatGroup
-     * stores counters in a node-based map, so the addresses are
-     * stable for the group's lifetime.
-     */
-    Counter *cReads = nullptr;
-    Counter *cCorrections = nullptr;
-    Counter *cErrorMisses = nullptr;
-    Counter *cEvictTrainings = nullptr;
-    Counter *cEccDrops = nullptr;
-    Counter *cInvertedChecks = nullptr;
-    Counter *cScrubReclaims = nullptr;
-    Distribution *dTrainingAccesses = nullptr;
-    /**
-     * [from][to] DFH transition counters (2-bit encodings as
-     * indices). Null marks an edge the state machine cannot take;
-     * noteTransition panics on it instead of silently auto-creating
-     * a counter the way the old string-keyed lookup did.
-     */
-    std::array<std::array<Counter *, 4>, 4> transitionCounter{};
+    KilliStats kst;
 
     /**
      * Hot-path scratch, reused across accesses so probeLine stays
@@ -201,9 +193,6 @@ class KilliProtection : public ProtectionScheme
     std::vector<Dfh> state;
     /** Mirror of the host's dirty bits (write-back mode). */
     std::vector<bool> dirtyLine;
-    /** Read hits observed while the line sits in b'01 — sampled into
-     *  dfh.training_accesses when the line leaves training. */
-    std::vector<std::uint32_t> trainAccesses;
 };
 
 } // namespace killi

@@ -438,7 +438,7 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
         // trace files: the recording carries the checkpoints, not
         // the filesystem.
         s.opt.trace = "all";
-        s.opt.traceFiles = false;
+        s.opt.traceDir.clear();
     }
 
     Recorder recorder("sweep");
@@ -528,7 +528,7 @@ sweepOptionsFromMeta(const Recording &rec)
     opt.workloads = metaStringList(o.at("workloads"), "workloads");
     opt.schemes = metaStringList(o.at("schemes"), "schemes");
     opt.trace = o.at("trace").asString();
-    opt.traceFiles = false;
+    opt.traceDir.clear();
     opt.jobs = 1;
     opt.jsonPath.clear();
     opt.timeseriesPath.clear();

@@ -100,6 +100,10 @@ validateNames(const std::vector<std::string> &got,
               const std::vector<std::string> &known, const char *what,
               std::string &err)
 {
+    if (const std::string *dup = firstDuplicate(got)) {
+        err = std::string(what) + " '" + *dup + "' is listed twice";
+        return false;
+    }
     for (const std::string &name : got) {
         if (std::find(known.begin(), known.end(), name) ==
             known.end()) {

@@ -12,11 +12,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace killi
 {
+
+/** DRAM access counters (reset at the warmup boundary). */
+struct DramStats
+{
+    std::uint64_t reads = 0;  //!< read accesses
+    std::uint64_t writes = 0; //!< write accesses
+};
 
 struct DramParams
 {
@@ -40,19 +46,13 @@ class DramModel
      */
     Tick access(Addr lineAddr, bool isWrite, Tick now);
 
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
-
-    std::uint64_t reads() const { return cReads->value(); }
-    std::uint64_t writes() const { return cWrites->value(); }
+    const DramStats &stats() const { return st; }
+    void resetStats() { st = {}; }
 
   private:
     DramParams p;
     std::vector<Tick> channelFree;
-    StatGroup statGroup;
-    /** Interned stat handles (StatGroup's nodes are address-stable). */
-    Counter *cReads = nullptr;
-    Counter *cWrites = nullptr;
+    DramStats st;
 };
 
 } // namespace killi

@@ -1,10 +1,11 @@
 /**
  * @file
  * Periodic stat snapshotting: a StatTimeseries polls a set of named
- * scalar sources (usually closures over StatGroup counters/formulas)
- * every N cycles and accumulates a columnar time series that
- * serializes to JSON for plotting MPKI, ECC-cache occupancy,
- * protection-grade mix, etc. over simulated time.
+ * scalar sources (closures over components' counter structs, such as
+ * L2Cache::stats(), or over derived values like MPKI) every N cycles
+ * and accumulates a columnar time series that serializes to JSON for
+ * plotting MPKI, ECC-cache occupancy, protection-grade mix, etc. over
+ * simulated time.
  *
  * Sampling is driven externally (EventQueue::setPeriodic or an
  * explicit call after run()); the series itself is passive and

@@ -66,22 +66,9 @@ traceRecordDigest(TraceCat cat, const char *name,
     return hash;
 }
 
-/** Sink identity generator (thread-local cache invalidation). */
-std::atomic<std::uint64_t> gSinkIds{1};
-
 /** Process-wide wraparound losses across every sink; see
  *  traceDroppedRecordsTotal(). */
 std::atomic<std::uint64_t> gDroppedRecords{0};
-
-/** One-slot per-thread cache: the ring this thread last recorded
- *  into, keyed by sink identity. The common case — one sink per
- *  thread — never takes the registry mutex after the first event. */
-struct TlsRingSlot
-{
-    std::uint64_t sinkId = 0;
-    void *ring = nullptr;
-};
-thread_local TlsRingSlot tlsRing;
 
 } // namespace
 
@@ -138,7 +125,7 @@ TraceEvent::toJson() const
     doc.set("t", Json::number(std::uint64_t(tick)));
     doc.set("cat", Json::string(traceCatName(cat)));
     doc.set("name", Json::string(name));
-    doc.set("tid", Json::number(std::uint64_t(tid)));
+    doc.set("tid", Json::number(std::uint64_t{0}));
     if (nargs) {
         Json argObj = Json::object();
         for (unsigned a = 0; a < nargs; ++a)
@@ -161,7 +148,7 @@ TraceEvent::toChromeJson() const
     doc.set("s", Json::string("t"));
     doc.set("ts", Json::number(std::uint64_t(tick)));
     doc.set("pid", Json::number(std::int64_t(0)));
-    doc.set("tid", Json::number(std::uint64_t(tid)));
+    doc.set("tid", Json::number(std::uint64_t{0}));
     Json argObj = Json::object();
     for (unsigned a = 0; a < nargs; ++a)
         argObj.set(args[a].key, args[a].valueJson());
@@ -169,42 +156,16 @@ TraceEvent::toChromeJson() const
     return doc;
 }
 
-TraceSink::TraceSink(std::size_t capacityPerThread)
-    : sinkId(gSinkIds.fetch_add(1, std::memory_order_relaxed)),
-      capacity(capacityPerThread ? capacityPerThread : 1)
+TraceSink::TraceSink(std::size_t capacity_)
+    : capacity(capacity_ ? capacity_ : 1)
 {
+    ring.reserve(std::min<std::size_t>(capacity, 1024));
 }
 
 void
 TraceSink::setMask(std::uint32_t mask)
 {
     runtimeMask.store(mask, std::memory_order_relaxed);
-}
-
-TraceSink::Ring &
-TraceSink::ringForThisThread()
-{
-    if (tlsRing.sinkId == sinkId)
-        return *static_cast<Ring *>(tlsRing.ring);
-
-    std::lock_guard<std::mutex> lock(registry);
-    const std::thread::id self = std::this_thread::get_id();
-    Ring *mine = nullptr;
-    for (Ring &ring : rings) {
-        if (ring.owner == self) {
-            mine = &ring;
-            break;
-        }
-    }
-    if (!mine) {
-        rings.push_back(Ring{});
-        mine = &rings.back();
-        mine->owner = self;
-        mine->tid = unsigned(rings.size() - 1);
-        mine->buf.reserve(std::min<std::size_t>(capacity, 1024));
-    }
-    tlsRing = {sinkId, mine};
-    return *mine;
 }
 
 void
@@ -215,87 +176,64 @@ TraceSink::record(Tick tick, TraceCat cat, const char *name,
         probe->onTraceRecord(tick, std::uint32_t(cat), name,
                              traceRecordDigest(cat, name, args));
     }
-    Ring &ring = ringForThisThread();
     TraceEvent ev;
     ev.tick = tick;
-    ev.seq = seqCounter.fetch_add(1, std::memory_order_relaxed);
+    ev.seq = nextSeq++;
     ev.cat = cat;
     ev.name = name;
-    ev.tid = ring.tid;
     for (const TraceArg &arg : args) {
         if (ev.nargs == TraceEvent::kMaxArgs)
             break;
         ev.args[ev.nargs++] = arg;
     }
-    if (ring.buf.size() < capacity) {
-        ring.buf.push_back(ev);
+    if (ring.size() < capacity) {
+        ring.push_back(ev);
     } else {
         // Wraparound: the overwritten slot's event is lost. Account
         // the loss by the *overwritten* event's category — that is
         // the record that no longer exists.
-        const TraceEvent &victim = ring.buf[ring.written % capacity];
+        TraceEvent &victim = ring[written % capacity];
         const auto catBits = std::uint32_t(victim.cat);
-        ring.droppedByCat[std::countr_zero(catBits) & 7]++;
+        droppedByCat[std::countr_zero(catBits) & 7]++;
         gDroppedRecords.fetch_add(1, std::memory_order_relaxed);
-        if (!dropWarned.load(std::memory_order_relaxed) &&
-            !dropWarned.exchange(true, std::memory_order_relaxed)) {
-            warn("ktrace: ring buffer full (capacity %zu/thread); "
-                 "oldest events are being dropped — see "
-                 "TraceSink::stats() / ktrace_dropped_records_total "
-                 "for counts",
+        if (!dropWarned) {
+            dropWarned = true;
+            warn("ktrace: ring buffer full (capacity %zu); oldest "
+                 "events are being dropped — see TraceSink::stats() "
+                 "/ ktrace_dropped_records_total for counts",
                  capacity);
         }
-        ring.buf[ring.written % capacity] = ev;
+        victim = ev;
     }
-    ++ring.written;
+    ++written;
 }
 
 std::uint64_t
 TraceSink::recorded() const
 {
-    std::lock_guard<std::mutex> lock(registry);
-    std::uint64_t total = 0;
-    for (const Ring &ring : rings)
-        total += ring.written;
-    return total;
+    return written;
 }
 
 std::uint64_t
 TraceSink::dropped() const
 {
-    std::lock_guard<std::mutex> lock(registry);
-    std::uint64_t lost = 0;
-    for (const Ring &ring : rings) {
-        if (ring.written > ring.buf.size())
-            lost += ring.written - ring.buf.size();
-    }
-    return lost;
+    return written - ring.size();
 }
 
 std::uint64_t
 TraceSink::retained() const
 {
-    std::lock_guard<std::mutex> lock(registry);
-    std::uint64_t kept = 0;
-    for (const Ring &ring : rings)
-        kept += ring.buf.size();
-    return kept;
+    return ring.size();
 }
 
 TraceSinkStats
 TraceSink::stats() const
 {
-    std::lock_guard<std::mutex> lock(registry);
     TraceSinkStats out;
-    out.threads = rings.size();
-    for (const Ring &ring : rings) {
-        out.recorded += ring.written;
-        out.retained += ring.buf.size();
-        if (ring.written > ring.buf.size())
-            out.dropped += ring.written - ring.buf.size();
-        for (std::size_t k = 0; k < out.droppedByCat.size(); ++k)
-            out.droppedByCat[k] += ring.droppedByCat[k];
-    }
+    out.recorded = recorded();
+    out.dropped = dropped();
+    out.retained = retained();
+    out.droppedByCat = droppedByCat;
     return out;
 }
 
@@ -306,7 +244,6 @@ TraceSinkStats::toJson() const
     doc.set("recorded", Json::number(recorded));
     doc.set("dropped", Json::number(dropped));
     doc.set("retained", Json::number(retained));
-    doc.set("threads", Json::number(threads));
     Json byCat = Json::object();
     for (std::size_t k = 0; k < droppedByCat.size(); ++k) {
         if (droppedByCat[k]) {
@@ -327,19 +264,14 @@ traceDroppedRecordsTotal()
 std::vector<TraceEvent>
 TraceSink::events() const
 {
+    // Oldest-first: a wrapped ring's oldest element sits at
+    // written % capacity.
     std::vector<TraceEvent> out;
-    {
-        std::lock_guard<std::mutex> lock(registry);
-        for (const Ring &ring : rings) {
-            // Oldest-first within the ring: a wrapped ring's oldest
-            // element sits at written % capacity.
-            const std::size_t n = ring.buf.size();
-            const std::size_t start =
-                ring.written > n ? ring.written % capacity : 0;
-            for (std::size_t k = 0; k < n; ++k)
-                out.push_back(ring.buf[(start + k) % n]);
-        }
-    }
+    out.reserve(ring.size());
+    const std::size_t n = ring.size();
+    const std::size_t start = written > n ? written % capacity : 0;
+    for (std::size_t k = 0; k < n; ++k)
+        out.push_back(ring[(start + k) % n]);
     std::sort(out.begin(), out.end(),
               [](const TraceEvent &a, const TraceEvent &b) {
                   if (a.tick != b.tick)
@@ -352,13 +284,10 @@ TraceSink::events() const
 void
 TraceSink::clear()
 {
-    std::lock_guard<std::mutex> lock(registry);
-    for (Ring &ring : rings) {
-        ring.buf.clear();
-        ring.written = 0;
-        ring.droppedByCat = {};
-    }
-    // seqCounter is deliberately NOT reset: it is only a (tick, seq)
+    ring.clear();
+    written = 0;
+    droppedByCat = {};
+    // nextSeq is deliberately NOT reset: it is only a (tick, seq)
     // tie-break, and staying monotonic keeps record order unique
     // across a clear() boundary.
 }

@@ -8,16 +8,15 @@
  *     the compile-time mask (KILLI_TRACE_CATEGORIES) and otherwise
  *     costs one null check plus one relaxed atomic load when runtime
  *     tracing is disabled.
- *  2. Thread safety without hot-path locks. A TraceSink keeps one
- *     ring buffer per recording thread; record() touches only the
- *     calling thread's ring (registration of a new thread takes the
- *     sink mutex once), so concurrent record() calls from any number
- *     of threads never contend or race. The snapshot/reset APIs
- *     (events(), recorded(), dropped(), retained(), clear(), the
- *     serializers) are NOT synchronized against in-flight record()
- *     calls: callers must quiesce recording first. The simulator
- *     honors this — each GpuSystem records from its own thread and
- *     traces are only read/cleared after the run completes.
+ *  2. One recording thread per sink. A TraceSink keeps a single
+ *     ring buffer and takes no lock: at any time, only one thread
+ *     may call record(), and the snapshot/reset APIs (events(),
+ *     recorded(), dropped(), retained(), stats(), clear(), the
+ *     serializers) must not run while it does. This matches
+ *     StatTimeseries and the one-GpuSystem-per-thread confinement:
+ *     each sweep point, kcheck scenario and codec micro-benchmark
+ *     owns its sink, records from the thread that runs it, and reads
+ *     the trace only after the run completes.
  *  3. Bounded memory. Rings wrap: the newest events win, and the
  *     number of overwritten events is reported (dropped()).
  *  4. Standard outputs. Events serialize as JSONL (one object per
@@ -36,13 +35,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -212,11 +208,11 @@ struct TraceEvent
     std::uint64_t seq = 0; //!< sink-wide record order (tie-break)
     TraceCat cat = TraceCat::Sim;
     const char *name = "";
-    unsigned tid = 0; //!< recording-thread index within the sink
     unsigned nargs = 0;
     TraceArg args[kMaxArgs];
 
-    /** {"t":..,"cat":..,"name":..,"tid":..,"args":{..}} */
+    /** {"t":..,"cat":..,"name":..,"tid":0,"args":{..}} (one
+     *  recording thread per sink, so tid is always 0). */
     Json toJson() const;
     /** Chrome trace_event instant-event object. */
     Json toChromeJson() const;
@@ -232,10 +228,9 @@ struct TraceSinkStats
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;
     std::uint64_t retained = 0;
-    std::uint64_t threads = 0;
     std::array<std::uint64_t, 8> droppedByCat{};
 
-    /** {"recorded","dropped","retained","threads",
+    /** {"recorded","dropped","retained",
      *   "dropped_by_cat":{<name>:n, ...}} — only categories that
      *  actually dropped appear in dropped_by_cat. */
     Json toJson() const;
@@ -252,8 +247,8 @@ std::uint64_t traceDroppedRecordsTotal();
 class TraceSink
 {
   public:
-    /** @param capacityPerThread ring size per recording thread. */
-    explicit TraceSink(std::size_t capacityPerThread = 1 << 16);
+    /** @param capacity ring size in events. */
+    explicit TraceSink(std::size_t capacity = 1 << 16);
 
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
@@ -273,8 +268,8 @@ class TraceSink
                 std::uint32_t(cat)) != 0;
     }
 
-    /** Record one event (hot path; lock-free after the calling
-     *  thread's first record). Prefer the KTRACE() macro. */
+    /** Record one event (hot path; the sink's one recording thread
+     *  only). Prefer the KTRACE() macro. */
     void record(Tick tick, TraceCat cat, const char *name,
                 std::initializer_list<TraceArg> args);
 
@@ -292,12 +287,11 @@ class TraceSink
      *  snapshot. */
     TraceSinkStats stats() const;
 
-    /** Merged snapshot of every thread's ring, (tick, seq)-ordered. */
+    /** Snapshot of the ring, (tick, seq)-ordered. */
     std::vector<TraceEvent> events() const;
 
-    /** Drop all recorded events (rings stay registered; sequence
-     *  numbers keep increasing so (tick, seq) order stays unique
-     *  across the clear boundary). */
+    /** Drop all recorded events (sequence numbers keep increasing,
+     *  so (tick, seq) order stays unique across the clear boundary). */
     void clear();
 
     /** Array of TraceEvent::toJson() objects, (tick, seq)-ordered. */
@@ -311,27 +305,16 @@ class TraceSink
     void writeChromeTrace(std::ostream &os) const;
 
   private:
-    struct Ring
-    {
-        std::thread::id owner;
-        unsigned tid = 0;
-        std::uint64_t written = 0; //!< total records into this ring
-        /** Overwritten events by category bit position; owner-thread
-         *  writes only (same quiesce rule as buf/written). */
-        std::array<std::uint64_t, 8> droppedByCat{};
-        std::vector<TraceEvent> buf;
-    };
-
-    Ring &ringForThisThread();
-
-    const std::uint64_t sinkId;
     const std::size_t capacity;
     std::atomic<std::uint32_t> runtimeMask{kAllTraceCats};
-    std::atomic<std::uint64_t> seqCounter{0};
+    /** Next event's seq; not reset by clear(). */
+    std::uint64_t nextSeq = 0;
     /** One-shot latch for the first-drop warn(). */
-    std::atomic<bool> dropWarned{false};
-    mutable std::mutex registry;
-    std::deque<Ring> rings; //!< deque: stable addresses on growth
+    bool dropWarned = false;
+    std::uint64_t written = 0; //!< records into the ring since clear()
+    /** Overwritten events by category bit position. */
+    std::array<std::uint64_t, 8> droppedByCat{};
+    std::vector<TraceEvent> ring;
 };
 
 /**

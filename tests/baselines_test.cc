@@ -108,7 +108,7 @@ TEST(BaselineTest, SingleFaultCorrectedOnRead)
     const AccessResult res = f.scheme->onReadHit(3, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
     // codec + correction latency.
     EXPECT_EQ(res.extraLatency, 2u);
 }
@@ -122,7 +122,7 @@ TEST(BaselineTest, MaskedFaultCostsNothing)
     f.scheme->onFill(3, data);
     const AccessResult res = f.scheme->onReadHit(3, data);
     EXPECT_FALSE(res.errorInducedMiss);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 0u);
+    EXPECT_EQ(f.scheme->stats().corrections, 0u);
     EXPECT_EQ(res.extraLatency, 0u); // masked: check hidden in pipe
 }
 
@@ -164,7 +164,7 @@ TEST(BaselineTest, DectedCorrectsTwoVisibleFaults)
     const AccessResult res = f.scheme->onReadHit(4, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
 }
 
 TEST(BaselineTest, MsEccBehavioralCorrection)
@@ -179,7 +179,7 @@ TEST(BaselineTest, MsEccBehavioralCorrection)
     const AccessResult res = f.scheme->onReadHit(6, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
 }
 
 TEST(BaselineTest, ResetRecharacterizes)
@@ -234,7 +234,7 @@ TEST(BaselineTest, TransientAfterFaultFreeFillIsCorrectedOrDetected)
     AccessResult res = f.scheme->onReadHit(5, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
 
     // A checkbit cell (positions 512..522) flips as well.
     f.faults->clearTransients(6);
@@ -243,7 +243,7 @@ TEST(BaselineTest, TransientAfterFaultFreeFillIsCorrectedOrDetected)
     res = f.scheme->onReadHit(6, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 2u);
+    EXPECT_EQ(f.scheme->stats().corrections, 2u);
 
     f.scheme->onFill(7, data);
     f.faults->injectTransient(7, 10);
@@ -251,7 +251,7 @@ TEST(BaselineTest, TransientAfterFaultFreeFillIsCorrectedOrDetected)
     res = f.scheme->onReadHit(7, data);
     EXPECT_TRUE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("error_misses"), 1u);
+    EXPECT_EQ(f.scheme->stats().errorMisses, 1u);
 }
 
 TEST(BaselineTest, OnlyCodecSchemesReadPayloads)

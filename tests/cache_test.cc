@@ -179,6 +179,8 @@ TEST(L1CacheTest, MissThenHit)
     EXPECT_TRUE(l1.lookup(0x1000));
     EXPECT_TRUE(l1.lookup(0x1010)); // same line
     EXPECT_FALSE(l1.lookup(0x2000));
+    EXPECT_EQ(l1.stats().hits, 2u);
+    EXPECT_EQ(l1.stats().misses, 2u);
 }
 
 TEST(L1CacheTest, LruEvictsOldest)
@@ -262,10 +264,10 @@ TEST(L2CacheTest, MissThenHitCounters)
 {
     L2Fixture f;
     f.readBlocking(0x1000);
-    EXPECT_EQ(f.l2.stats().counterValue("read_misses"), 1u);
+    EXPECT_EQ(f.l2.stats().readMisses, 1u);
     EXPECT_TRUE(f.l2.isCached(0x1000));
     f.readBlocking(0x1000);
-    EXPECT_EQ(f.l2.stats().counterValue("read_hits"), 1u);
+    EXPECT_EQ(f.l2.stats().readHits, 1u);
     EXPECT_EQ(f.prot.readHits, 1u);
     EXPECT_EQ(f.prot.fills, 1u);
 }
@@ -289,7 +291,7 @@ TEST(L2CacheTest, MshrMergesConcurrentMisses)
     f.l2.read(0xB0, [&](Tick) { ++responses; }); // same line
     f.eq.run();
     EXPECT_EQ(responses, 3);
-    EXPECT_EQ(f.dram.reads(), 1u);
+    EXPECT_EQ(f.dram.stats().reads, 1u);
     EXPECT_EQ(f.prot.fills, 1u);
 }
 
@@ -326,9 +328,9 @@ TEST(L2CacheTest, FullMshrRetriesAndKeepsWaiterOrder)
     ASSERT_EQ(whenA.size(), 3u);
     EXPECT_EQ(whenA[0], whenA[1]);
     EXPECT_EQ(whenA[1], whenA[2]);
-    EXPECT_EQ(l2.stats().counterValue("mshr_retries"), 1u);
-    EXPECT_EQ(l2.stats().counterValue("read_misses"), 4u);
-    EXPECT_EQ(dram.reads(), 2u);
+    EXPECT_EQ(l2.stats().mshrRetries, 1u);
+    EXPECT_EQ(l2.stats().readMisses, 4u);
+    EXPECT_EQ(dram.stats().reads, 2u);
     // B's DRAM read starts only after the retry delay.
     EXPECT_GE(whenB, params.mshrRetryDelay + DramParams{}.latency);
     EXPECT_GT(whenB, whenA[0]);
@@ -343,8 +345,8 @@ TEST(L2CacheTest, WriteThroughUpdatesMemoryAndLine)
     EXPECT_TRUE(f.l2.isCached(0x100));
     f.l2.write(0x100);
     f.eq.run();
-    EXPECT_EQ(f.l2.stats().counterValue("write_hits"), 1u);
-    EXPECT_EQ(f.dram.writes(), 1u);
+    EXPECT_EQ(f.l2.stats().writeHits, 1u);
+    EXPECT_EQ(f.dram.stats().writes, 1u);
     // Memory version bumped: the refetched data must be v1.
     EXPECT_EQ(f.golden.version(0x100), 1u);
 }
@@ -354,9 +356,9 @@ TEST(L2CacheTest, WriteMissDoesNotAllocate)
     L2Fixture f;
     f.l2.write(0x200);
     f.eq.run();
-    EXPECT_EQ(f.l2.stats().counterValue("write_misses"), 1u);
+    EXPECT_EQ(f.l2.stats().writeMisses, 1u);
     EXPECT_FALSE(f.l2.isCached(0x200));
-    EXPECT_EQ(f.dram.writes(), 1u);
+    EXPECT_EQ(f.dram.stats().writes, 1u);
 }
 
 TEST(L2CacheTest, LruEvictionAcrossWays)
@@ -369,7 +371,7 @@ TEST(L2CacheTest, LruEvictionAcrossWays)
         f.readBlocking(i * setStride);
     f.readBlocking(0); // refresh the first line
     f.readBlocking(4 * setStride);
-    EXPECT_EQ(f.l2.stats().counterValue("evictions"), 1u);
+    EXPECT_EQ(f.l2.stats().evictions, 1u);
     EXPECT_TRUE(f.l2.isCached(0));
     EXPECT_FALSE(f.l2.isCached(1 * setStride));
     EXPECT_EQ(f.prot.evicts, 1u);
@@ -383,9 +385,9 @@ TEST(L2CacheTest, ErrorInducedMissRefetches)
     f.prot.nextResult.errorInducedMiss = true;
     const Tick start = f.eq.curTick();
     const Tick resp = f.readBlocking(0x40);
-    EXPECT_EQ(f.l2.stats().counterValue("error_misses"), 1u);
+    EXPECT_EQ(f.l2.stats().errorMisses, 1u);
     EXPECT_GT(resp - start, 200u); // went to memory
-    EXPECT_EQ(f.dram.reads(), 2u);
+    EXPECT_EQ(f.dram.stats().reads, 2u);
     EXPECT_TRUE(f.l2.isCached(0x40)); // refilled
     // The drop also notified the scheme.
     EXPECT_GE(f.prot.invalidates, 1u);
@@ -397,7 +399,7 @@ TEST(L2CacheTest, SdcCounterFollowsProtection)
     f.readBlocking(0x40);
     f.prot.nextResult.sdc = true;
     f.readBlocking(0x40);
-    EXPECT_EQ(f.l2.stats().counterValue("sdc"), 1u);
+    EXPECT_EQ(f.l2.stats().sdc, 1u);
 }
 
 TEST(L2CacheTest, ExtraLatencyCharged)
@@ -422,11 +424,11 @@ TEST(L2CacheTest, DisabledSetBypasses)
     for (unsigned w = 0; w < g.assoc; ++w)
         f.prot.allocatable[g.lineId(set, w)] = false;
     f.readBlocking(0x0);
-    EXPECT_EQ(f.l2.stats().counterValue("bypass_fills"), 1u);
+    EXPECT_EQ(f.l2.stats().bypassFills, 1u);
     EXPECT_FALSE(f.l2.isCached(0x0));
     // A second access misses again.
     f.readBlocking(0x0);
-    EXPECT_EQ(f.l2.stats().counterValue("read_misses"), 2u);
+    EXPECT_EQ(f.l2.stats().readMisses, 2u);
 }
 
 TEST(L2CacheTest, AllocPriorityChoosesPreferredWay)
@@ -447,7 +449,7 @@ TEST(L2CacheTest, BackdoorInvalidationDropsLine)
     EXPECT_TRUE(f.l2.isCached(0x40));
     f.l2.invalidateLine(f.prot.lastFillLine);
     EXPECT_FALSE(f.l2.isCached(0x40));
-    EXPECT_EQ(f.l2.stats().counterValue("prot_invalidations"), 1u);
+    EXPECT_EQ(f.l2.stats().protInvalidations, 1u);
     // The drop routes through onEvict (classification chance).
     EXPECT_EQ(f.prot.evicts, 1u);
     EXPECT_EQ(f.prot.lastEvictLine, f.prot.lastFillLine);
@@ -529,8 +531,8 @@ TEST(L2WritebackTest, WriteHitDirtiesWithoutMemoryWrite)
     f.readBlocking(0x100);
     f.l2.write(0x100);
     f.eq.run();
-    EXPECT_EQ(f.l2.stats().counterValue("write_hits"), 1u);
-    EXPECT_EQ(f.dram.writes(), 0u); // deferred until eviction
+    EXPECT_EQ(f.l2.stats().writeHits, 1u);
+    EXPECT_EQ(f.dram.stats().writes, 0u); // deferred until eviction
 }
 
 TEST(L2WritebackTest, WriteMissAllocates)
@@ -539,7 +541,7 @@ TEST(L2WritebackTest, WriteMissAllocates)
     f.l2.write(0x200);
     f.eq.run();
     EXPECT_TRUE(f.l2.isCached(0x200)); // write-allocate
-    EXPECT_EQ(f.dram.writes(), 0u);
+    EXPECT_EQ(f.dram.stats().writes, 0u);
     EXPECT_EQ(f.prot.fills, 1u);
 }
 
@@ -553,8 +555,8 @@ TEST(L2WritebackTest, EvictionFlushesDirtyLine)
     // Evict the dirty line by filling the set's four ways plus one.
     for (int i = 1; i <= 4; ++i)
         f.readBlocking(i * setStride);
-    EXPECT_EQ(f.l2.stats().counterValue("writebacks"), 1u);
-    EXPECT_EQ(f.dram.writes(), 1u);
+    EXPECT_EQ(f.l2.stats().writebacks, 1u);
+    EXPECT_EQ(f.dram.stats().writes, 1u);
     EXPECT_FALSE(f.l2.isCached(0x0));
 }
 
@@ -565,8 +567,8 @@ TEST(L2WritebackTest, BackdoorInvalidationFlushesDirtyLine)
     f.eq.run();
     EXPECT_TRUE(f.l2.isCached(0x140));
     f.l2.invalidateLine(f.prot.lastFillLine);
-    EXPECT_EQ(f.l2.stats().counterValue("writebacks"), 1u);
-    EXPECT_EQ(f.dram.writes(), 1u);
+    EXPECT_EQ(f.l2.stats().writebacks, 1u);
+    EXPECT_EQ(f.dram.stats().writes, 1u);
 }
 
 TEST(L2WritebackTest, CleanEvictionWritesNothing)
@@ -576,8 +578,8 @@ TEST(L2WritebackTest, CleanEvictionWritesNothing)
     const std::size_t setStride = g.numSets() * g.lineBytes;
     for (int i = 0; i <= 4; ++i)
         f.readBlocking(i * setStride);
-    EXPECT_EQ(f.l2.stats().counterValue("evictions"), 1u);
-    EXPECT_EQ(f.dram.writes(), 0u);
+    EXPECT_EQ(f.l2.stats().evictions, 1u);
+    EXPECT_EQ(f.dram.stats().writes, 0u);
 }
 
 // --- Payload contract ---------------------------------------------------
@@ -655,7 +657,7 @@ TEST(L2PayloadTest, WritebackReadsOutTheStoredVersion)
     f.eq.run();
     for (int i = 1; i <= 4; ++i)
         f.readBlocking(a + i * setStride);
-    ASSERT_EQ(f.l2.stats().counterValue("writebacks"), 1u);
+    ASSERT_EQ(f.l2.stats().writebacks, 1u);
 
     const BitVec v1 = f.golden.data(a, 1);
     std::vector<std::string> hooks;

@@ -1,15 +1,13 @@
 /**
  * @file
  * Unit tests for the kcommon utility library: BitVec semantics and
- * invariants, RNG determinism and distribution sanity, stats
- * registry behaviour, JSON documents, and table rendering.
+ * invariants, RNG determinism and distribution sanity, JSON
+ * documents, and table rendering.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -19,7 +17,6 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 
 using namespace killi;
@@ -192,66 +189,6 @@ TEST(RngTest, PoissonMean)
     EXPECT_NEAR(sum / trials, 2.5, 0.1);
 }
 
-TEST(StatsTest, CountersAccumulate)
-{
-    StatGroup stats;
-    Counter &hits = stats.counter("hits", "cache hits");
-    ++hits;
-    hits += 4;
-    EXPECT_EQ(stats.counterValue("hits"), 5u);
-    EXPECT_EQ(stats.counterValue("misses"), 0u);
-}
-
-TEST(StatsTest, SameNameSharesCounter)
-{
-    StatGroup stats;
-    ++stats.counter("x");
-    ++stats.counter("x");
-    EXPECT_EQ(stats.counterValue("x"), 2u);
-}
-
-TEST(StatsTest, FormulaEvaluatesLazily)
-{
-    StatGroup stats;
-    Counter &n = stats.counter("n");
-    stats.formula("twice", [&] { return 2.0 * n.value(); });
-    n += 3;
-    EXPECT_DOUBLE_EQ(stats.formulaValue("twice"), 6.0);
-}
-
-TEST(StatsTest, DistributionTracksMinMaxMean)
-{
-    StatGroup stats;
-    Distribution &d = stats.distribution("lat");
-    d.sample(2);
-    d.sample(10);
-    d.sample(6);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 6.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 10.0);
-}
-
-TEST(StatsTest, ResetClears)
-{
-    StatGroup stats;
-    stats.counter("c") += 9;
-    stats.distribution("d").sample(1.0);
-    stats.resetAll();
-    EXPECT_EQ(stats.counterValue("c"), 0u);
-    EXPECT_EQ(stats.distribution("d").count(), 0u);
-}
-
-TEST(StatsTest, DumpContainsEntries)
-{
-    StatGroup stats;
-    stats.counter("l2.hits", "hits") += 12;
-    std::ostringstream os;
-    stats.dump(os, "sim.");
-    EXPECT_NE(os.str().find("sim.l2.hits"), std::string::npos);
-    EXPECT_NE(os.str().find("12"), std::string::npos);
-}
-
 TEST(TableTest, RendersAligned)
 {
     TextTable t;
@@ -290,96 +227,6 @@ TEST(RngTest, ForkedStreamsDiverge)
     Rng childA = parent.fork();
     Rng childB = parent.fork();
     EXPECT_NE(childA.next64(), childB.next64());
-}
-
-TEST(StatsTest, EmptyDistributionHasNoExtrema)
-{
-    Distribution d;
-    EXPECT_TRUE(d.empty());
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_TRUE(std::isnan(d.min()));
-    EXPECT_TRUE(std::isnan(d.max()));
-    d.sample(-4.0);
-    EXPECT_FALSE(d.empty());
-    EXPECT_DOUBLE_EQ(d.min(), -4.0);
-    EXPECT_DOUBLE_EQ(d.max(), -4.0);
-    d.reset();
-    EXPECT_TRUE(d.empty());
-    EXPECT_TRUE(std::isnan(d.min()));
-}
-
-TEST(StatsTest, QuantileEdgeCases)
-{
-    // Empty (and bucketless) distributions have no quantiles.
-    Distribution none;
-    EXPECT_TRUE(std::isnan(none.quantile(0.5)));
-    Distribution noBuckets;
-    noBuckets.sample(3.0);
-    EXPECT_TRUE(std::isnan(noBuckets.quantile(0.5)));
-
-    // A single sample answers every p with (a bucket-resolution
-    // estimate of) itself; p=0 and p=1 clamp to the true extrema
-    // when they sit inside the bucket range.
-    Distribution one;
-    one.initBuckets(0.0, 10.0, 10);
-    one.sample(4.5);
-    EXPECT_DOUBLE_EQ(one.quantile(0.0), 4.5);
-    EXPECT_DOUBLE_EQ(one.quantile(1.0), 4.5);
-    const double mid = one.quantile(0.5);
-    EXPECT_GE(mid, 4.0);
-    EXPECT_LE(mid, 5.0);
-
-    // p outside [0, 1] behaves as the clamped endpoint.
-    EXPECT_DOUBLE_EQ(one.quantile(-3.0), one.quantile(0.0));
-    EXPECT_DOUBLE_EQ(one.quantile(7.0), one.quantile(1.0));
-
-    // Out-of-range extrema clamp to the configured bucket span:
-    // "beyond the top bucket" reads as "at least bucketHigh()".
-    Distribution wide;
-    wide.initBuckets(0.0, 10.0, 10);
-    wide.sample(-5.0);
-    wide.sample(5.0);
-    wide.sample(25.0);
-    EXPECT_DOUBLE_EQ(wide.quantile(0.0), 0.0);   // max(min, lo)
-    EXPECT_DOUBLE_EQ(wide.quantile(1.0), 10.0);  // min(max, hi)
-    EXPECT_DOUBLE_EQ(wide.quantile(0.99), 10.0); // overflow mass
-
-    // NaN samples must not corrupt the histogram: the negated
-    // range comparison routes them to overflow, so quantiles keep
-    // answering from the finite mass.
-    Distribution withNan;
-    withNan.initBuckets(0.0, 10.0, 10);
-    withNan.sample(2.5);
-    withNan.sample(std::numeric_limits<double>::quiet_NaN());
-    EXPECT_EQ(withNan.count(), 2u);
-    const double q = withNan.quantile(0.25);
-    EXPECT_GE(q, 2.0);
-    EXPECT_LE(q, 3.0);
-    EXPECT_DOUBLE_EQ(withNan.quantile(0.99), 10.0);
-}
-
-TEST(StatsTest, NegativeSamplesKeepTrueExtrema)
-{
-    // Before the NaN fix min/max started at 0.0, so an all-negative
-    // (or all-positive-above-zero) stream reported a bogus extremum.
-    Distribution d;
-    d.sample(-2.0);
-    d.sample(-8.0);
-    EXPECT_DOUBLE_EQ(d.min(), -8.0);
-    EXPECT_DOUBLE_EQ(d.max(), -2.0);
-    Distribution e;
-    e.sample(5.0);
-    e.sample(3.0);
-    EXPECT_DOUBLE_EQ(e.min(), 3.0);
-}
-
-TEST(StatsTest, TextDumpMarksEmptyDistributions)
-{
-    StatGroup stats;
-    stats.distribution("lat", "never sampled");
-    std::ostringstream os;
-    stats.dump(os);
-    EXPECT_NE(os.str().find("no samples"), std::string::npos);
 }
 
 TEST(JsonTest, ScalarRoundTrip)
@@ -482,154 +329,6 @@ TEST(TableTest, ToJsonKeysRowsByHeader)
     ASSERT_EQ(doc.size(), 2u);
     EXPECT_EQ(doc.at(0).at("name").asString(), "alpha");
     EXPECT_EQ(doc.at(1).at("value").asString(), "2");
-}
-
-// ---- Distribution moments and histograms ---------------------------
-
-TEST(StatsTest, DistributionVarianceAndStddev)
-{
-    Distribution d;
-    d.sample(2);
-    d.sample(4);
-    d.sample(4);
-    d.sample(4);
-    d.sample(5);
-    d.sample(5);
-    d.sample(7);
-    d.sample(9);
-    // Classic textbook set: population variance 4, stddev 2.
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 2.0);
-}
-
-TEST(StatsTest, EmptyDistributionMomentsAreNaN)
-{
-    const Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_TRUE(std::isnan(d.mean()));
-    EXPECT_TRUE(std::isnan(d.variance()));
-    EXPECT_TRUE(std::isnan(d.stddev()));
-}
-
-TEST(StatsTest, SingleSampleHasZeroVariance)
-{
-    Distribution d;
-    d.sample(42.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 42.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(StatsTest, HistogramBucketsAndOutOfRangeCounts)
-{
-    Distribution d;
-    d.initBuckets(0.0, 8.0, 4); // [0,2) [2,4) [4,6) [6,8)
-    ASSERT_TRUE(d.hasBuckets());
-    ASSERT_EQ(d.numBuckets(), 4u);
-    d.sample(-1.0); // underflow
-    d.sample(0.0);  // bucket 0 (half-open low edge included)
-    d.sample(1.99); // bucket 0
-    d.sample(2.0);  // bucket 1
-    d.sample(7.99); // bucket 3
-    d.sample(8.0);  // overflow (high edge excluded)
-    d.sample(50.0); // overflow
-    EXPECT_EQ(d.bucketCount(0), 2u);
-    EXPECT_EQ(d.bucketCount(1), 1u);
-    EXPECT_EQ(d.bucketCount(2), 0u);
-    EXPECT_EQ(d.bucketCount(3), 1u);
-    EXPECT_EQ(d.underflow(), 1u);
-    EXPECT_EQ(d.overflow(), 2u);
-    // Moments still accumulate over every sample.
-    EXPECT_EQ(d.count(), 7u);
-}
-
-TEST(StatsTest, HistogramHandlesExtremeAndNanSamples)
-{
-    // Values whose bucket offset exceeds size_t (and NaN) must land
-    // in overflow; the naive double->size_t cast would be UB.
-    Distribution d;
-    d.initBuckets(0.0, 8.0, 4);
-    d.sample(1e300);
-    d.sample(std::numeric_limits<double>::infinity());
-    d.sample(std::numeric_limits<double>::quiet_NaN());
-    EXPECT_EQ(d.overflow(), 3u);
-    EXPECT_EQ(d.underflow(), 0u);
-    for (std::size_t k = 0; k < d.numBuckets(); ++k)
-        EXPECT_EQ(d.bucketCount(k), 0u);
-}
-
-TEST(StatsTest, HistogramSurvivesResetAndSerializes)
-{
-    StatGroup stats;
-    Distribution &d = stats.distribution("lat", "hit latency");
-    d.initBuckets(0.0, 10.0, 5);
-    d.sample(3.0);
-    d.sample(-2.0);
-    stats.resetAll();
-    EXPECT_EQ(d.count(), 0u);
-    ASSERT_TRUE(d.hasBuckets()); // layout survives, counts zeroed
-    EXPECT_EQ(d.bucketCount(1), 0u);
-    EXPECT_EQ(d.underflow(), 0u);
-
-    d.sample(5.0);
-    std::ostringstream os;
-    stats.dump(os);
-    EXPECT_NE(os.str().find("lat.hist"), std::string::npos);
-    EXPECT_NE(os.str().find("stddev"), std::string::npos);
-
-    const Json doc = stats.toJson();
-    const Json &buckets =
-        doc.at("distributions").at("lat").at("buckets");
-    EXPECT_DOUBLE_EQ(buckets.at("lo").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(buckets.at("hi").asDouble(), 10.0);
-    EXPECT_EQ(buckets.at("counts").at(2).asInt(), 1);
-}
-
-TEST(StatsDeathTest, InitBucketsAfterSamplesPanics)
-{
-    Distribution d;
-    d.sample(1.0);
-    EXPECT_DEATH(d.initBuckets(0.0, 1.0, 2), "initBuckets");
-}
-
-TEST(StatsDeathTest, InitBucketsRejectsDegenerateLayouts)
-{
-    Distribution d;
-    EXPECT_DEATH(d.initBuckets(0.0, 1.0, 0), "zero buckets");
-    Distribution d2;
-    EXPECT_DEATH(d2.initBuckets(5.0, 5.0, 4), "empty range");
-}
-
-// ---- StatGroup name-collision detection ----------------------------
-
-TEST(StatsDeathTest, CrossKindRegistrationPanics)
-{
-    StatGroup stats;
-    stats.counter("x", "a counter");
-    EXPECT_DEATH(stats.distribution("x"), "already registered");
-    StatGroup stats2;
-    stats2.distribution("y");
-    EXPECT_DEATH(stats2.formula("y", [] { return 0.0; }),
-                 "already registered");
-}
-
-TEST(StatsDeathTest, ConflictingDescriptionPanics)
-{
-    StatGroup stats;
-    stats.counter("hits", "cache hits");
-    // Same kind, different non-empty description: a second component
-    // silently sharing the stat would corrupt both reports.
-    EXPECT_DEATH(stats.counter("hits", "something else"),
-                 "different");
-}
-
-TEST(StatsTest, RefetchWithEmptyDescriptionIsAllowed)
-{
-    StatGroup stats;
-    stats.counter("hits", "cache hits") += 2;
-    ++stats.counter("hits"); // plain fetch, no description claim
-    EXPECT_EQ(stats.counterValue("hits"), 3u);
 }
 
 // ---- logging: pluggable sink, capture, cycle timestamps ------------
@@ -812,42 +511,4 @@ TEST(JsonFileTest, TryReadRoundTripsAGoodFile)
     ASSERT_TRUE(tryReadJsonFile(path, out));
     EXPECT_EQ(out.at("answer").asInt(), 42);
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------
-// Distribution::quantile — the daemon's latency percentiles
-// ---------------------------------------------------------------
-
-TEST(StatsTest, QuantileIsNanWithoutSamplesOrBuckets)
-{
-    Distribution bucketless;
-    bucketless.sample(1.0);
-    EXPECT_TRUE(std::isnan(bucketless.quantile(0.5)));
-
-    Distribution empty;
-    empty.initBuckets(0.0, 10.0, 10);
-    EXPECT_TRUE(std::isnan(empty.quantile(0.5)));
-}
-
-TEST(StatsTest, QuantileInterpolatesUniformFill)
-{
-    Distribution d;
-    d.initBuckets(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        d.sample(double(i) + 0.5); // one sample per bucket
-    const double p50 = d.quantile(0.5);
-    EXPECT_NEAR(p50, 50.0, 1.5);
-    const double p99 = d.quantile(0.99);
-    EXPECT_NEAR(p99, 99.0, 1.5);
-    EXPECT_LE(d.quantile(0.0), d.quantile(1.0));
-}
-
-TEST(StatsTest, QuantileClampsToConfiguredRange)
-{
-    Distribution d;
-    d.initBuckets(0.0, 10.0, 10);
-    d.sample(-5.0);  // underflow: treated as sitting at bucketLow
-    d.sample(500.0); // overflow: treated as sitting at bucketHigh
-    EXPECT_GE(d.quantile(0.01), 0.0);
-    EXPECT_LE(d.quantile(0.99), 10.0);
 }

@@ -148,8 +148,8 @@ TEST(EccCacheTest, StatsTrackLifecycle)
     std::size_t evicted;
     for (unsigned i = 0; i < 5; ++i)
         ecc.allocate(l2Line(i * 4, 0), evicted);
-    EXPECT_EQ(ecc.stats().counterValue("allocs"), 5u);
-    EXPECT_EQ(ecc.stats().counterValue("evictions"), 1u);
+    EXPECT_EQ(ecc.stats().allocs, 5u);
+    EXPECT_EQ(ecc.stats().evictions, 1u);
     ecc.invalidate(l2Line(16, 0));
-    EXPECT_EQ(ecc.stats().counterValue("frees"), 1u);
+    EXPECT_EQ(ecc.stats().frees, 1u);
 }

@@ -113,7 +113,7 @@ TEST(KilliTest, VisibleSingleFaultClassifiesStable1AndCorrects)
     EXPECT_FALSE(res.sdc); // SECDED really corrects the bit
     EXPECT_EQ(f.prot->dfhOf(7), Dfh::Stable1);
     EXPECT_NE(f.prot->eccCache().find(7), nullptr); // entry retained
-    EXPECT_EQ(f.prot->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.prot->stats().corrections, 1u);
     // codec + correction latency on this path.
     EXPECT_EQ(res.extraLatency, 2u);
 }
@@ -197,7 +197,7 @@ TEST(KilliTest, EvictionTrainingClassifiesWithoutDelivery)
     const Cycle cost = f.prot->onEvict(12, data);
     EXPECT_GT(cost, 0u); // the read-out occupies the bank
     EXPECT_EQ(f.prot->dfhOf(12), Dfh::Stable1);
-    EXPECT_EQ(f.prot->stats().counterValue("evict_trainings"), 1u);
+    EXPECT_EQ(f.prot->killiStats().evictTrainings, 1u);
 
     // Trained lines cost nothing at eviction.
     f.prot->onInvalidate(12);
@@ -231,7 +231,7 @@ TEST(KilliTest, EccEntryEvictionDropsProtectedLine)
     f.prot->onFill(4, data);
     ASSERT_EQ(f.host.invalidated.size(), 1u);
     EXPECT_EQ(f.host.invalidated[0], 0u);
-    EXPECT_EQ(f.prot->stats().counterValue("ecc_drops"), 1u);
+    EXPECT_EQ(f.prot->killiStats().eccDrops, 1u);
     EXPECT_EQ(f.prot->eccCache().find(0), nullptr);
 }
 
@@ -440,11 +440,11 @@ TEST(KilliTest, TransitionCountersTrack)
     const BitVec data = f.zeros();
     f.prot->onFill(1, data);
     f.prot->onReadHit(1, data);
-    EXPECT_EQ(f.prot->stats().counterValue("t_01_00"), 1u);
+    EXPECT_EQ(f.prot->killiStats().transitions[0b01][0b00], 1u);
     f.faults->plantFault(2, 9, true);
     f.prot->onFill(2, data);
     f.prot->onReadHit(2, data);
-    EXPECT_EQ(f.prot->stats().counterValue("t_01_10"), 1u);
+    EXPECT_EQ(f.prot->killiStats().transitions[0b01][0b10], 1u);
 }
 
 // Randomized end-to-end property: for any planted fault population
@@ -661,7 +661,7 @@ TEST(KilliTest, WritebackDirtyUnmaskedFaultCorrects)
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
     EXPECT_EQ(f.prot->dfhOf(5), Dfh::Stable1);
-    EXPECT_EQ(f.prot->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.prot->stats().corrections, 1u);
 
     const WritebackOutcome out = f.prot->onWriteback(5, unmasking);
     EXPECT_TRUE(out.clean);
@@ -721,7 +721,7 @@ TEST(KilliTest, TransientAfterFaultFreeFillIsCorrectedOrDetected)
     AccessResult res = f.prot->onReadHit(7, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.prot->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.prot->stats().corrections, 1u);
 
     // b'00 (trained clean): a single upset trips the folded parity —
     // an error-induced miss and a relearn, never an SDC.

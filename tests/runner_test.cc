@@ -4,21 +4,22 @@
  * machine-readable-results API it ships with: thread-pool execution,
  * retry/skip semantics, the parallel==serial bit-identity contract
  * of the evaluation sweep, Options validation, and the JSON layer's
- * round-trips (StatGroup, RunResult, sweep results files).
+ * round-trips (RunResult, sweep results files).
  */
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "bench/sweep.hh"
 #include "common/json.hh"
 #include "common/options.hh"
-#include "common/stats.hh"
 #include "fault/fault_model.hh"
 #include "gpu/gpu_system.hh"
 #include "runner/runner.hh"
@@ -310,6 +311,24 @@ TEST(OptionsDeathTest, UnknownKeyIsFatal)
     }
 }
 
+TEST(OptionsDeathTest, DuplicateSweepNamesAreFatal)
+{
+    // A repeated name would run identical points twice and count
+    // them twice in the geomean.
+    for (const char *arg :
+         {"workloads=xsbench,spmv,xsbench", "schemes=DECTED,DECTED"}) {
+        EXPECT_DEATH(
+            {
+                Options opts("t", "test");
+                declareSweepOptions(opts, "t");
+                parseArgs(opts, {arg});
+                sweepOptions(opts);
+            },
+            "is listed twice")
+            << arg;
+    }
+}
+
 TEST(OptionsDeathTest, MalformedNumberIsFatal)
 {
     // Malformed doubles and bools, and trailing garbage a bare
@@ -442,37 +461,6 @@ TEST(Options, HelpListsEveryDeclaredOption)
 // ---------------------------------------------------------------
 // JSON round-trips
 // ---------------------------------------------------------------
-
-TEST(StatGroupJson, RoundTripsThroughTheParser)
-{
-    StatGroup stats;
-    stats.counter("l2.hits", "hits") += 17;
-    auto &lat = stats.distribution("l2.latency", "latency");
-    lat.sample(3.0);
-    lat.sample(9.0);
-    stats.distribution("l2.unused", "never sampled");
-    stats.formula("l2.ratio", [] { return 0.25; }, "ratio");
-
-    std::ostringstream os;
-    stats.dumpJson(os);
-
-    Json parsed;
-    std::string err;
-    ASSERT_TRUE(Json::parse(os.str(), parsed, &err)) << err;
-    EXPECT_EQ(parsed.at("counters").at("l2.hits").asInt(), 17);
-    const Json &latency = parsed.at("distributions").at("l2.latency");
-    EXPECT_EQ(latency.at("count").asInt(), 2);
-    EXPECT_DOUBLE_EQ(latency.at("mean").asDouble(), 6.0);
-    EXPECT_DOUBLE_EQ(latency.at("min").asDouble(), 3.0);
-    EXPECT_DOUBLE_EQ(latency.at("max").asDouble(), 9.0);
-    // Empty distribution: min/max serialize as null, not 0.0.
-    const Json &unused = parsed.at("distributions").at("l2.unused");
-    EXPECT_EQ(unused.at("count").asInt(), 0);
-    EXPECT_TRUE(unused.at("min").isNull());
-    EXPECT_TRUE(unused.at("max").isNull());
-    EXPECT_DOUBLE_EQ(
-        parsed.at("formulas").at("l2.ratio").asDouble(), 0.25);
-}
 
 TEST(RunResultJson, RoundTripsEveryCounter)
 {
@@ -613,6 +601,73 @@ TEST(EvaluationSweep, CampaignTakesItsDieFromTheWarmSourceOnce)
     EXPECT_EQ(calls.load(), 1);
     EXPECT_TRUE(warm.campaign.allOk());
     EXPECT_EQ(sweepData(warm), sweepData(cold));
+}
+
+TEST(EvaluationSweep, FinalTimeseriesRowMatchesAggregates)
+{
+    // The timeseries columns and RunResult read the same counters, so
+    // each point's terminal snapshot equals its aggregates. warmup=1
+    // also covers the reset at the warmup boundary.
+    SweepOptions opt = tinySweep(1);
+    opt.warmupPasses = 1;
+    opt.workloads = {"xsbench"};
+    opt.schemes = {"DECTED", "Killi 1:256"};
+    opt.statsInterval = 500;
+    const SweepResult res = runEvaluationSweep(opt);
+    ASSERT_TRUE(res.campaign.allOk());
+    ASSERT_EQ(res.workloads.size(), 1u);
+
+    const auto check = [](const std::string &point, const RunResult &r,
+                          const Json &ts) {
+        const Json &cols = ts.at("columns");
+        const Json &samples = ts.at("samples");
+        ASSERT_GT(samples.size(), 1u) << point;
+        const Json &last = samples.at(samples.size() - 1);
+        const auto col = [&](const std::string &name) {
+            for (std::size_t c = 0; c < cols.size(); ++c) {
+                if (cols.at(c).asString() == name)
+                    return last.at(c).asDouble();
+            }
+            ADD_FAILURE() << point << ": no column " << name;
+            return -1.0;
+        };
+        EXPECT_EQ(col("instructions"), double(r.instructions)) << point;
+        EXPECT_EQ(col("l2_read_hits"), double(r.l2ReadHits)) << point;
+        EXPECT_EQ(col("l2_read_misses"), double(r.l2ReadMisses)) << point;
+        EXPECT_EQ(col("l2_error_misses"), double(r.l2ErrorMisses))
+            << point;
+        EXPECT_EQ(col("mpki"), r.mpki()) << point;
+    };
+    const WorkloadSweep &wl = res.workloads[0];
+    check("baseline", wl.baseline, wl.baselineTimeseries);
+    ASSERT_EQ(wl.schemes.size(), 2u);
+    for (const SchemeRun &s : wl.schemes)
+        check(s.scheme, s.result, s.timeseries);
+}
+
+TEST(EvaluationSweep, EmptyTraceDirTracesWithoutWritingFiles)
+{
+    // trace-dir= (empty) means no trace files: the traced sweep runs
+    // and leaves its working directory untouched.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+        ("killi_trace_dir_test_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+
+    Options opts("t", "test");
+    declareSweepOptions(opts, "t", 0.02);
+    parseArgs(opts, {"warmup=0", "workloads=xsbench", "schemes=DECTED",
+                     "trace=dfh", "trace-dir=", "json="});
+    const SweepOptions opt = sweepOptions(opts);
+    const SweepResult res = runEvaluationSweep(opt);
+
+    fs::current_path(cwd);
+    EXPECT_TRUE(res.campaign.allOk());
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
 }
 
 TEST(EvaluationSweepDeathTest, UnknownSchemeNameIsFatal)

@@ -1208,6 +1208,34 @@ warmSubmit(const std::string &workloads, std::uint64_t seed)
 
 } // namespace
 
+TEST(ServeIntegration, DuplicateNamesGetBadRequest)
+{
+    // A repeated workload or scheme (string or array form) would run
+    // identical points twice under a cache key of its own.
+    Loopback lo;
+    Json dupSchemes = warmSubmit("xsbench", 42);
+    Json options = dupSchemes.at("options");
+    Json schemes = Json::array();
+    schemes.push(Json::string("DECTED"));
+    schemes.push(Json::string("DECTED"));
+    options.set("schemes", std::move(schemes));
+    dupSchemes.set("options", std::move(options));
+    Json frame;
+    for (const Json &req : {warmSubmit("xsbench,spmv,xsbench", 42),
+                            dupSchemes}) {
+        ASSERT_TRUE(lo.client.send(req));
+        ASSERT_TRUE(lo.client.recv(frame));
+        EXPECT_EQ(frame.at("type").asString(), "error")
+            << req.toString(0);
+        EXPECT_EQ(frame.at("code").asString(), "bad_request")
+            << req.toString(0);
+        EXPECT_NE(frame.at("error").asString().find("listed twice"),
+                  std::string::npos)
+            << frame.toString(0);
+    }
+    lo.server.stop();
+}
+
 TEST(WarmStore, SingleFlightSynthesizesOnceAcrossConcurrentCallers)
 {
     WarmStore store(64 << 20);

@@ -344,8 +344,8 @@ TEST(DramTest, CountsReadsAndWrites)
     dram.access(0, false, 0);
     dram.access(0, true, 0);
     dram.access(64, true, 0);
-    EXPECT_EQ(dram.reads(), 1u);
-    EXPECT_EQ(dram.writes(), 2u);
+    EXPECT_EQ(dram.stats().reads, 1u);
+    EXPECT_EQ(dram.stats().writes, 2u);
 }
 
 TEST(GoldenMemoryTest, DeterministicContent)

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,28 +213,6 @@ TEST(TraceSink, ArgTypesSerializeFaithfully)
     EXPECT_DOUBLE_EQ(args.at("f").asDouble(), 2.5);
     EXPECT_FALSE(args.at("b").asBool());
     EXPECT_EQ(args.at("s").asString(), "txt");
-}
-
-// ---- multi-thread registration -------------------------------------
-
-TEST(TraceSink, ThreadsGetDistinctTidsAndEventsMerge)
-{
-    TraceSink sink;
-    auto work = [&sink](Tick base) {
-        for (int i = 0; i < 10; ++i)
-            sink.record(base + Tick(i), TraceCat::Sim, "t", {});
-    };
-    std::thread a(work, Tick(0));
-    std::thread b(work, Tick(100));
-    a.join();
-    b.join();
-
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 20u);
-    // Merged snapshot is tick-ordered across both rings.
-    for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_LE(events[i - 1].tick, events[i].tick);
-    EXPECT_NE(events.front().tid, events.back().tid);
 }
 
 // ---- determinism ---------------------------------------------------
